@@ -33,8 +33,7 @@ const replHelp = `commands:
   BEGIN | COMMIT | ABORT        explicit transaction on this connection
   CHECKPOINT                    take a fuzzy checkpoint
   STATS                         engine counters (one line)
-  STATS FULL | stats            full snapshot: counters, latch tiers,
-                                lock-wait tail, tracer state
+  STATS FULL                    every metric family, one line per series
   help | quit`
 
 func main() {
@@ -90,31 +89,6 @@ func runOne(c *server.Client, line string) error {
 	fields := strings.Fields(line)
 	cmd := strings.ToUpper(fields[0])
 	switch cmd {
-	case "PING":
-		if err := c.Ping(); err != nil {
-			return err
-		}
-		fmt.Println("PONG")
-	case "CREATE":
-		if len(fields) != 2 {
-			return fmt.Errorf("usage: CREATE <table>")
-		}
-		if err := c.CreateTable(fields[1]); err != nil {
-			return err
-		}
-		fmt.Println("OK")
-	case "SET":
-		if len(fields) < 4 {
-			return fmt.Errorf("usage: SET <table> <key> <value>")
-		}
-		key, err := strconv.ParseUint(fields[2], 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad key %q", fields[2])
-		}
-		if err := c.Set(fields[1], key, strings.Join(fields[3:], " ")); err != nil {
-			return err
-		}
-		fmt.Println("OK")
 	case "GET":
 		if len(fields) != 3 {
 			return fmt.Errorf("usage: GET <table> <key>")
@@ -128,18 +102,6 @@ func runOne(c *server.Client, line string) error {
 			return err
 		}
 		fmt.Printf("%q\n", v)
-	case "DEL":
-		if len(fields) != 3 {
-			return fmt.Errorf("usage: DEL <table> <key>")
-		}
-		key, err := strconv.ParseUint(fields[2], 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad key %q", fields[2])
-		}
-		if err := c.Del(fields[1], key); err != nil {
-			return err
-		}
-		fmt.Println("OK")
 	case "SCAN":
 		if len(fields) != 5 {
 			return fmt.Errorf("usage: SCAN <table> <lo> <hi> <max>")
@@ -158,21 +120,6 @@ func runOne(c *server.Client, line string) error {
 			fmt.Printf("%12d  %q\n", r.Key, r.Value)
 		}
 		fmt.Printf("%d row(s)\n", len(rows))
-	case "BEGIN":
-		if err := c.Begin(); err != nil {
-			return err
-		}
-		fmt.Println("OK")
-	case "COMMIT":
-		if err := c.Commit(); err != nil {
-			return err
-		}
-		fmt.Println("OK")
-	case "ABORT":
-		if err := c.Abort(); err != nil {
-			return err
-		}
-		fmt.Println("OK")
 	case "STATS":
 		if len(fields) == 2 && strings.ToUpper(fields[1]) == "FULL" {
 			st, err := c.StatsFull()
@@ -188,7 +135,9 @@ func runOne(c *server.Client, line string) error {
 		}
 		fmt.Println(s)
 	default:
-		// Pass anything else through verbatim (e.g. CHECKPOINT).
+		// Pass anything else through verbatim (SET, CREATE, DEL,
+		// BEGIN, CHECKPOINT, ...): the line reaches the server
+		// byte-exact, so a SET value keeps its spaces.
 		reply, err := c.Raw(line)
 		if err != nil {
 			return err
@@ -198,92 +147,26 @@ func runOne(c *server.Client, line string) error {
 	return nil
 }
 
-// printStats renders the full snapshot the way the harness tables do:
-// counters grouped by subsystem, distributions as p50/p90/p99/max.
+// printStats prints every metric family in table order, one line per
+// series: counters and gauges as values, histograms as their
+// p50/p90/p99/max summary.
 func printStats(st server.StatsJSON) {
-	fmt.Printf("uptime      %s\n", (time.Duration(st.UptimeSec * float64(time.Second))).Round(time.Second))
-	fmt.Printf("txns        commits=%d aborts=%d\n", st.Commits, st.Aborts)
-	fmt.Printf("lock        acquires=%d table_ops=%d inherited=%d waits=%d\n",
-		st.Lock.Acquires, st.Lock.TableOps, st.Lock.Inherited, st.Lock.Waits)
-	fmt.Printf("            deadlocks=%d timeouts=%d upgrades=%d escalations=%d\n",
-		st.Lock.Deadlocks, st.Lock.Timeouts, st.Lock.Upgrades, st.Lock.Escalations)
-	fmt.Printf("lock heads  allocs=%d recycles=%d retires=%d heat_evictions=%d\n",
-		st.Lock.HeadAllocs, st.Lock.HeadRecycles, st.Lock.HeadRetires, st.Lock.HeatEvictions)
-	if st.LockWait.Count > 0 {
-		fmt.Printf("lock wait   %s\n", st.LockWait.Summary)
-	}
-	fmt.Printf("log         inserts=%d bytes=%d flushes=%d mutex_acquires=%d group_inserts=%d\n",
-		st.Log.Inserts, st.Log.InsertedBytes, st.Log.Flushes, st.Log.MutexAcquires, st.Log.GroupInserts)
-	if st.Log.Flushes > 0 {
-		fmt.Printf("            group-commit batch=%.1f records/flush\n",
-			float64(st.Log.Inserts)/float64(st.Log.Flushes))
-		fmt.Printf("            flush IO: writes=%d syncs=%d (%.2f writes/flush)\n",
-			st.Log.FlushWrites, st.Log.FlushSyncs,
-			float64(st.Log.FlushWrites)/float64(st.Log.Flushes))
-	}
-	if st.Log.DevWrites > 0 || st.Log.DevSyncs > 0 {
-		fmt.Printf("log device  writes=%d vec_writes=%d syncs=%d seg_syncs=%d seg_sync_skips=%d\n",
-			st.Log.DevWrites, st.Log.DevVecWrites, st.Log.DevSyncs,
-			st.Log.DevSegSyncs, st.Log.DevSegSyncSkips)
-	}
-	hitPct := 0.0
-	if tot := st.Buffer.Hits + st.Buffer.Misses; tot > 0 {
-		hitPct = 100 * float64(st.Buffer.Hits) / float64(tot)
-	}
-	fmt.Printf("buffer      hits=%d misses=%d (%.2f%% hit) evictions=%d writebacks=%d\n",
-		st.Buffer.Hits, st.Buffer.Misses, hitPct, st.Buffer.Evictions, st.Buffer.Writebacks)
-	if st.Dora.SinglePartition+st.Dora.CrossPartition > 0 {
-		fmt.Printf("dora        actions=%d single=%d cross=%d rvps=%d local_waits=%d timeouts=%d\n",
-			st.Dora.ActionsExecuted, st.Dora.SinglePartition, st.Dora.CrossPartition,
-			st.Dora.RendezvousCrossed, st.Dora.LocalWaits, st.Dora.Timeouts)
-		fmt.Printf("            batches=%d jobs=%d service %s\n",
-			st.Dora.Batches, st.Dora.BatchedJobs, st.Dora.Service.Summary)
-	}
-	if st.Mvcc.SnapshotBegins > 0 || st.Mvcc.Installs > 0 {
-		fmt.Printf("mvcc        snapshots=%d reads=%d chain_reads=%d lock_bypasses=%d\n",
-			st.Mvcc.SnapshotBegins, st.Mvcc.SnapshotReads, st.Mvcc.ChainReads, st.Lock.Bypasses)
-		fmt.Printf("            installs=%d live_nodes=%d gc_nodes=%d sweeps=%d floor=%d active=%d\n",
-			st.Mvcc.Installs, st.Mvcc.LiveNodes, st.Mvcc.GCNodes, st.Mvcc.GCSweeps,
-			st.Mvcc.SnapshotFloor, st.Mvcc.ActiveSnapshots)
-		fmt.Printf("            si_begins=%d si_commits=%d si_conflict_aborts=%d snapshots_expired=%d\n",
-			st.Mvcc.SIBegins, st.Mvcc.SICommits, st.Mvcc.SIConflictAborts, st.Mvcc.SnapshotsExpired)
-	}
-	if len(st.Latches) > 0 {
-		fmt.Println("latch tiers (sampled time-to-acquire)")
-		for _, t := range st.Latches {
-			fmt.Printf("  %-12s ops=%-10d %s\n", t.Tier, t.Ops, t.Acquire.Summary)
+	for _, f := range st.Families {
+		for _, s := range f.Series {
+			name := f.Name
+			if len(s.Labels) > 0 {
+				pairs := make([]string, 0, len(s.Labels))
+				for k, v := range s.Labels {
+					pairs = append(pairs, k+"="+v)
+				}
+				sort.Strings(pairs)
+				name += "{" + strings.Join(pairs, ",") + "}"
+			}
+			if s.Hist != nil {
+				fmt.Printf("%-56s %s\n", name, s.Hist.Summary)
+				continue
+			}
+			fmt.Printf("%-56s %s\n", name, strconv.FormatFloat(s.Value, 'f', -1, 64))
 		}
 	}
-	if len(st.Phases) > 0 {
-		fmt.Println("phase profile (per path/outcome, critical-path wall time)")
-		for _, cell := range st.Phases {
-			fmt.Printf("  %-20s n=%-10d total %s\n",
-				cell.Path+"/"+cell.Outcome, cell.Count, cell.Total.Summary)
-			names := make([]string, 0, len(cell.Phase))
-			for name := range cell.Phase {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				fmt.Printf("    %-18s %s\n", name, cell.Phase[name].Summary)
-			}
-		}
-	}
-	if st.Slow.Admitted > 0 {
-		fmt.Printf("slow txns   admitted=%d rotated=%d window=%s retained=%d\n",
-			st.Slow.Admitted, st.Slow.Rotated,
-			time.Duration(st.Slow.WindowNs).Round(time.Second), len(st.Slow.Entries))
-		for i, e := range st.Slow.Entries {
-			if i == 5 {
-				fmt.Printf("  ... %d more\n", len(st.Slow.Entries)-i)
-				break
-			}
-			fmt.Printf("  txn=%-10d %s/%s total=%s\n",
-				e.Txn, e.Path, e.Outcome, time.Duration(e.TotalNs))
-		}
-	}
-	if st.Incidents > 0 {
-		fmt.Printf("incidents   %d captured (GET /incidents on the observability port)\n", st.Incidents)
-	}
-	fmt.Printf("tracer      enabled=%v events=%d\n", st.TraceEnabled, st.TraceEvents)
 }

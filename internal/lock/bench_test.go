@@ -10,39 +10,10 @@ import (
 // then ReleaseAll — on a partitioned table with one goroutine per
 // core. Rows are disjoint per goroutine, so the numbers isolate
 // lock-manager bookkeeping overhead (and its allocations) rather than
-// conflict waits.
+// conflict waits. Each worker owns one Holder and Resets it between
+// transactions, as engine workers do, so steady state performs no
+// per-transaction map allocation.
 func BenchmarkLockAcquireRelease(b *testing.B) {
-	m := NewManager(Options{Partitions: 64})
-	var seq atomic.Uint64
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		worker := seq.Add(1)
-		txn := worker << 32
-		i := uint64(0)
-		for pb.Next() {
-			txn++
-			i++
-			if err := m.Acquire(txn, TableName(1), IX); err != nil {
-				b.Error(err)
-				return
-			}
-			for r := uint64(0); r < 4; r++ {
-				key := worker<<40 | i<<2 | r
-				if err := m.Acquire(txn, RowName(1, key), X); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-			m.ReleaseAll(txn)
-		}
-	})
-}
-
-// BenchmarkLockAcquireReleaseHolder is the same cycle through the
-// caller-owned Holder path the engine uses: one holder per worker,
-// Reset between transactions, so steady state performs no registry
-// lookups and no per-transaction map allocation.
-func BenchmarkLockAcquireReleaseHolder(b *testing.B) {
 	m := NewManager(Options{Partitions: 64})
 	var seq atomic.Uint64
 	b.ReportAllocs()

@@ -95,12 +95,3 @@ func (h *Holder) EscalatedOn(table uint32) bool {
 	_, ok := h.esc.escalated[table]
 	return ok
 }
-
-// Escalated reports whether txn currently holds an escalated lock on
-// table (test/diagnostic hook, id-based form).
-func (m *Manager) Escalated(txn uint64, table uint32) bool {
-	if h := m.lookupHolder(txn); h != nil {
-		return h.EscalatedOn(table)
-	}
-	return false
-}

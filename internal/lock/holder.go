@@ -11,8 +11,10 @@ import (
 // instead of living in a manager-global map. A transaction has
 // exclusive use of its own lock set, so holder updates never contend
 // with other transactions — the holder mutex below is only ever
-// uncontended (it exists so the id-based compatibility API, which
-// hands holders out from a registry, stays race-free under misuse).
+// uncontended. It exists because the diagnostic reads (Held,
+// EscalatedOn) may run on a goroutine other than the one driving the
+// transaction, and an uncontended lock is cheaper than proving every
+// such reader is ordered after the owner's writes.
 //
 // Engine transactions create one holder per worker context and Reset
 // it between transactions, so steady-state acquisition performs no
@@ -73,8 +75,11 @@ func (h *Holder) ID() uint64 { return h.id }
 // transactions, alongside Reset.
 func (h *Holder) SetClock(c *obs.PhaseClock) { h.clock = c }
 
-// Acquire obtains name in mode for the holder's transaction; see
-// Manager.Acquire for the blocking and error contract.
+// Acquire obtains name in mode for the holder's transaction, blocking
+// while incompatible locks are held. Re-acquisition by the same
+// transaction upgrades to the supremum mode. It returns ErrDeadlock
+// when the wait would close a cycle (the requester is the victim) and
+// ErrTimeout past the configured bound.
 func (h *Holder) Acquire(name Name, mode Mode) error {
 	m := h.m
 	m.stats.acquires.Add(1)
@@ -138,40 +143,4 @@ func (h *Holder) take() ([]Name, []Mode) {
 	}
 	h.held = resetLockMap(h.held)
 	return names, modes
-}
-
-// holderOf returns the registry-backed holder for txn, creating it on
-// first use. It serves the id-based compatibility API; engine code
-// carries holders directly and never touches the registry.
-func (m *Manager) holderOf(txn uint64) *Holder {
-	s := &m.reg[regIdx(txn)]
-	s.mu.Lock()
-	h := s.m[txn]
-	if h == nil {
-		h = m.NewHolder(txn)
-		s.m[txn] = h
-	}
-	s.mu.Unlock()
-	return h
-}
-
-// lookupHolder returns txn's registry holder or nil.
-func (m *Manager) lookupHolder(txn uint64) *Holder {
-	s := &m.reg[regIdx(txn)]
-	s.mu.Lock()
-	h := s.m[txn]
-	s.mu.Unlock()
-	return h
-}
-
-// takeHolder removes and returns txn's registry holder, or nil.
-func (m *Manager) takeHolder(txn uint64) *Holder {
-	s := &m.reg[regIdx(txn)]
-	s.mu.Lock()
-	h := s.m[txn]
-	if h != nil {
-		delete(s.m, txn)
-	}
-	s.mu.Unlock()
-	return h
 }

@@ -8,6 +8,16 @@ import (
 	"time"
 )
 
+// holders returns lock contexts for transactions 0..n, indexed by
+// transaction id.
+func holders(m *Manager, n int) []*Holder {
+	hs := make([]*Holder, n+1)
+	for i := range hs {
+		hs[i] = m.NewHolder(uint64(i))
+	}
+	return hs
+}
+
 func TestCompatibilityMatrix(t *testing.T) {
 	// Spot-check the canonical entries.
 	cases := []struct {
@@ -62,37 +72,39 @@ func TestSupremumProperties(t *testing.T) {
 
 func TestBasicAcquireRelease(t *testing.T) {
 	m := NewManager(Options{})
+	h := holders(m, 1)
 	r := RowName(1, 100)
-	if err := m.Acquire(1, r, X); err != nil {
+	if err := h[1].Acquire(r, X); err != nil {
 		t.Fatal(err)
 	}
-	if m.Held(1, r) != X {
-		t.Fatalf("Held = %v, want X", m.Held(1, r))
+	if h[1].Held(r) != X {
+		t.Fatalf("Held = %v, want X", h[1].Held(r))
 	}
-	m.Release(1, r)
-	if m.Held(1, r) != None {
+	h[1].Release(r)
+	if h[1].Held(r) != None {
 		t.Fatal("lock still held after release")
 	}
 }
 
 func TestSharedConcurrencyExclusiveBlocks(t *testing.T) {
 	m := NewManager(Options{})
+	h := holders(m, 3)
 	r := RowName(1, 1)
-	if err := m.Acquire(1, r, S); err != nil {
+	if err := h[1].Acquire(r, S); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(2, r, S); err != nil {
+	if err := h[2].Acquire(r, S); err != nil {
 		t.Fatal(err) // S+S compatible
 	}
 	acquired := make(chan error, 1)
-	go func() { acquired <- m.Acquire(3, r, X) }()
+	go func() { acquired <- h[3].Acquire(r, X) }()
 	select {
 	case err := <-acquired:
 		t.Fatalf("X granted while S held: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	m.Release(1, r)
-	m.Release(2, r)
+	h[1].Release(r)
+	h[2].Release(r)
 	select {
 	case err := <-acquired:
 		if err != nil {
@@ -105,40 +117,42 @@ func TestSharedConcurrencyExclusiveBlocks(t *testing.T) {
 
 func TestReentrantAcquire(t *testing.T) {
 	m := NewManager(Options{})
+	h := holders(m, 1)
 	r := RowName(1, 1)
 	for i := 0; i < 3; i++ {
-		if err := m.Acquire(1, r, S); err != nil {
+		if err := h[1].Acquire(r, S); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A single Release drops the lock entirely (counts are folded).
-	m.Release(1, r)
-	if m.Held(1, r) != None {
+	h[1].Release(r)
+	if h[1].Held(r) != None {
 		t.Fatal("re-entrant lock not fully released")
 	}
 }
 
 func TestUpgradeSToX(t *testing.T) {
 	m := NewManager(Options{})
+	h := holders(m, 2)
 	r := RowName(1, 1)
-	if err := m.Acquire(1, r, S); err != nil {
+	if err := h[1].Acquire(r, S); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(1, r, X); err != nil {
+	if err := h[1].Acquire(r, X); err != nil {
 		t.Fatal(err) // sole holder upgrades immediately
 	}
-	if m.Held(1, r) != X {
-		t.Fatalf("Held = %v after upgrade, want X", m.Held(1, r))
+	if h[1].Held(r) != X {
+		t.Fatalf("Held = %v after upgrade, want X", h[1].Held(r))
 	}
 	// Another reader must now block.
 	got := make(chan error, 1)
-	go func() { got <- m.Acquire(2, r, S) }()
+	go func() { got <- h[2].Acquire(r, S) }()
 	select {
 	case <-got:
 		t.Fatal("S granted during X")
 	case <-time.After(20 * time.Millisecond):
 	}
-	m.Release(1, r)
+	h[1].Release(r)
 	if err := <-got; err != nil {
 		t.Fatal(err)
 	}
@@ -146,40 +160,42 @@ func TestUpgradeSToX(t *testing.T) {
 
 func TestBlockedUpgradeWaitsForReaders(t *testing.T) {
 	m := NewManager(Options{})
+	h := holders(m, 2)
 	r := RowName(1, 1)
-	m.Acquire(1, r, S)
-	m.Acquire(2, r, S)
+	h[1].Acquire(r, S)
+	h[2].Acquire(r, S)
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(1, r, X) }()
+	go func() { done <- h[1].Acquire(r, X) }()
 	select {
 	case <-done:
 		t.Fatal("upgrade granted with another reader present")
 	case <-time.After(20 * time.Millisecond):
 	}
-	m.Release(2, r)
+	h[2].Release(r)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if m.Held(1, r) != X {
-		t.Fatalf("mode after blocked upgrade = %v", m.Held(1, r))
+	if h[1].Held(r) != X {
+		t.Fatalf("mode after blocked upgrade = %v", h[1].Held(r))
 	}
-	m.ReleaseAll(1)
+	h[1].ReleaseAll()
 }
 
 func TestUpgradePriorityOverQueuedWriters(t *testing.T) {
 	m := NewManager(Options{})
+	h := holders(m, 3)
 	r := RowName(1, 1)
-	m.Acquire(1, r, S)
-	m.Acquire(2, r, S)
+	h[1].Acquire(r, S)
+	h[2].Acquire(r, S)
 	// Txn 3 queues for X behind the readers.
 	got3 := make(chan error, 1)
-	go func() { got3 <- m.Acquire(3, r, X) }()
+	go func() { got3 <- h[3].Acquire(r, X) }()
 	time.Sleep(10 * time.Millisecond)
 	// Txn 1 upgrades; it must be served before txn 3.
 	got1 := make(chan error, 1)
-	go func() { got1 <- m.Acquire(1, r, X) }()
+	go func() { got1 <- h[1].Acquire(r, X) }()
 	time.Sleep(10 * time.Millisecond)
-	m.Release(2, r)
+	h[2].Release(r)
 	select {
 	case err := <-got1:
 		if err != nil {
@@ -193,31 +209,32 @@ func TestUpgradePriorityOverQueuedWriters(t *testing.T) {
 		t.Fatal("queued writer served before upgrade completed")
 	default:
 	}
-	m.ReleaseAll(1)
+	h[1].ReleaseAll()
 	if err := <-got3; err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(3)
+	h[3].ReleaseAll()
 }
 
 func TestDeadlockDetection(t *testing.T) {
 	m := NewManager(Options{})
+	h := holders(m, 2)
 	a, b := RowName(1, 1), RowName(1, 2)
-	m.Acquire(1, a, X)
-	m.Acquire(2, b, X)
+	h[1].Acquire(a, X)
+	h[2].Acquire(b, X)
 	errs := make(chan error, 2)
 	go func() {
-		err := m.Acquire(1, b, X) // 1 waits on 2
+		err := h[1].Acquire(b, X) // 1 waits on 2
 		if err == nil {
-			defer m.ReleaseAll(1)
+			defer h[1].ReleaseAll()
 		}
 		errs <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
 	go func() {
-		err := m.Acquire(2, a, X) // closes the cycle
+		err := h[2].Acquire(a, X) // closes the cycle
 		if err == nil {
-			defer m.ReleaseAll(2)
+			defer h[2].ReleaseAll()
 		}
 		errs <- err
 	}()
@@ -231,8 +248,8 @@ func TestDeadlockDetection(t *testing.T) {
 				if deadlocked == 1 {
 					go func() {
 						time.Sleep(5 * time.Millisecond)
-						m.ReleaseAll(2)
-						m.ReleaseAll(1)
+						h[2].ReleaseAll()
+						h[1].ReleaseAll()
 					}()
 				}
 			} else if err != nil {
@@ -252,80 +269,84 @@ func TestDeadlockDetection(t *testing.T) {
 
 func TestWaitTimeout(t *testing.T) {
 	m := NewManager(Options{WaitTimeout: 30 * time.Millisecond})
+	h := holders(m, 3)
 	r := RowName(1, 1)
-	m.Acquire(1, r, X)
+	h[1].Acquire(r, X)
 	start := time.Now()
-	err := m.Acquire(2, r, X)
+	err := h[2].Acquire(r, X)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
 	if time.Since(start) < 25*time.Millisecond {
 		t.Fatal("timeout fired early")
 	}
-	m.ReleaseAll(1)
+	h[1].ReleaseAll()
 	// The lock must still be grantable after a timed-out waiter.
-	if err := m.Acquire(3, r, X); err != nil {
+	if err := h[3].Acquire(r, X); err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(3)
+	h[3].ReleaseAll()
 }
 
 func TestReleaseAllReturnsNames(t *testing.T) {
 	m := NewManager(Options{})
-	m.Acquire(7, TableName(1), IX)
-	m.Acquire(7, RowName(1, 5), X)
-	m.Acquire(7, RowName(1, 6), X)
-	names := m.ReleaseAll(7)
+	h := holders(m, 7)
+	h[7].Acquire(TableName(1), IX)
+	h[7].Acquire(RowName(1, 5), X)
+	h[7].Acquire(RowName(1, 6), X)
+	names := h[7].ReleaseAll()
 	if len(names) != 3 {
 		t.Fatalf("ReleaseAll returned %d names, want 3", len(names))
 	}
-	if m.Held(7, RowName(1, 5)) != None {
+	if h[7].Held(RowName(1, 5)) != None {
 		t.Fatal("row lock survived ReleaseAll")
 	}
-	if m.ReleaseAll(7) != nil {
+	if h[7].ReleaseAll() != nil {
 		t.Fatal("second ReleaseAll returned names")
 	}
 }
 
 func TestFIFOFairnessNoWriterStarvation(t *testing.T) {
 	m := NewManager(Options{})
+	h := holders(m, 3)
 	r := RowName(1, 1)
-	m.Acquire(1, r, S)
+	h[1].Acquire(r, S)
 	// Writer queues.
 	wGot := make(chan error, 1)
-	go func() { wGot <- m.Acquire(2, r, X) }()
+	go func() { wGot <- h[2].Acquire(r, X) }()
 	time.Sleep(10 * time.Millisecond)
 	// A later reader must NOT jump the queued writer.
 	rGot := make(chan error, 1)
-	go func() { rGot <- m.Acquire(3, r, S) }()
+	go func() { rGot <- h[3].Acquire(r, S) }()
 	select {
 	case <-rGot:
 		t.Fatal("later reader overtook queued writer")
 	case <-time.After(20 * time.Millisecond):
 	}
-	m.Release(1, r)
+	h[1].Release(r)
 	if err := <-wGot; err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(2)
+	h[2].ReleaseAll()
 	if err := <-rGot; err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(3)
+	h[3].ReleaseAll()
 }
 
 func TestHierarchicalScenario(t *testing.T) {
 	m := NewManager(Options{Partitions: 4})
+	h := holders(m, 3)
 	// Txn 1: IX on table, X on row 1. Txn 2: IX on table, X on row 2.
 	// These must all proceed without blocking.
 	done := make(chan error, 2)
 	for i := uint64(1); i <= 2; i++ {
 		go func(txn uint64) {
-			if err := m.Acquire(txn, TableName(9), IX); err != nil {
+			if err := h[txn].Acquire(TableName(9), IX); err != nil {
 				done <- err
 				return
 			}
-			if err := m.Acquire(txn, RowName(9, txn), X); err != nil {
+			if err := h[txn].Acquire(RowName(9, txn), X); err != nil {
 				done <- err
 				return
 			}
@@ -339,18 +360,18 @@ func TestHierarchicalScenario(t *testing.T) {
 	}
 	// Txn 3 wants S on the whole table: must wait for both IX holders.
 	sGot := make(chan error, 1)
-	go func() { sGot <- m.Acquire(3, TableName(9), S) }()
+	go func() { sGot <- h[3].Acquire(TableName(9), S) }()
 	select {
 	case <-sGot:
 		t.Fatal("table S granted while IX held")
 	case <-time.After(20 * time.Millisecond):
 	}
-	m.ReleaseAll(1)
-	m.ReleaseAll(2)
+	h[1].ReleaseAll()
+	h[2].ReleaseAll()
 	if err := <-sGot; err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(3)
+	h[3].ReleaseAll()
 }
 
 func TestConcurrentDisjointThroughput(t *testing.T) {
@@ -364,14 +385,15 @@ func TestConcurrentDisjointThroughput(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					base := uint64(w * 1000)
+					h := m.NewHolder(base)
 					for i := 0; i < 500; i++ {
-						txn := base + uint64(i)
+						h.Reset(base + uint64(i))
 						key := base + uint64(i%100)
-						if err := m.Acquire(txn, RowName(1, key), X); err != nil {
+						if err := h.Acquire(RowName(1, key), X); err != nil {
 							t.Errorf("acquire: %v", err)
 							return
 						}
-						m.ReleaseAll(txn)
+						h.ReleaseAll()
 					}
 				}(w)
 			}
@@ -407,11 +429,12 @@ func BenchmarkAcquireReleaseDisjoint(b *testing.B) {
 				id++
 				me := id
 				mu.Unlock()
+				h := m.NewHolder(me * 1_000_000)
 				i := uint64(0)
 				for pb.Next() {
-					txn := me*1_000_000 + i
-					m.Acquire(txn, RowName(1, me*100000+i%512), X)
-					m.ReleaseAll(txn)
+					h.Reset(me*1_000_000 + i)
+					h.Acquire(RowName(1, me*100000+i%512), X)
+					h.ReleaseAll()
 					i++
 				}
 			})

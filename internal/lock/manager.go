@@ -256,23 +256,10 @@ func wfIdx(txn uint64) int {
 	return int((txn * 0x9e3779b97f4a7c15) >> 58)
 }
 
-// regStripes shards the compatibility-API holder registry.
-const regStripes = 64
-
-type regStripe struct {
-	mu sync.Mutex
-	m  map[uint64]*Holder
-	_  [40]byte
-}
-
-func regIdx(txn uint64) int {
-	return int((txn*0x9e3779b97f4a7c15)>>32) & (regStripes - 1)
-}
-
 // Manager is the lock table. Aside from the partitioned table itself,
-// all bookkeeping is striped (waits-for graph, holder registry, heat)
-// or carried by the caller (held sets, escalation state — see
-// Holder), so Acquire/ReleaseAll never take a manager-global mutex.
+// all bookkeeping is striped (waits-for graph, heat) or carried by
+// the caller (held sets, escalation state — see Holder), so
+// Holder.Acquire/ReleaseAll never take a manager-global mutex.
 type Manager struct {
 	opts  Options
 	parts []partition
@@ -280,13 +267,10 @@ type Manager struct {
 	// wf is the sharded deadlock-detection graph.
 	wf [wfStripes]wfStripe
 
-	// reg backs the id-based compatibility API with per-txn holders.
-	reg [regStripes]regStripe
-
-	// agents maps SLI agent pseudo-transactions to their reclaim
-	// flag; registration is rare, lookups on the wait path are
+	// agents maps SLI agent pseudo-transactions to their shared
+	// state; registration is rare, lookups on the wait path are
 	// lock-free.
-	agents sync.Map // uint64 -> *atomic.Bool
+	agents sync.Map // uint64 -> *agentState
 
 	// stats are striped cumulative counters (obs.Counter), so the
 	// bookkeeping of a decentralized lock table is not itself a
@@ -322,27 +306,11 @@ func NewManager(opts Options) *Manager {
 	for i := range m.wf {
 		m.wf[i].edges = make(map[uint64]map[uint64]bool)
 	}
-	for i := range m.reg {
-		m.reg[i].m = make(map[uint64]*Holder)
-	}
 	return m
 }
 
 func (m *Manager) part(n Name) *partition {
 	return &m.parts[n.hash()%uint64(len(m.parts))]
-}
-
-// Acquire obtains name in mode for txn, blocking while incompatible
-// locks are held. Re-acquisition by the same transaction upgrades to
-// the supremum mode. It returns ErrDeadlock when the wait would close
-// a cycle (the requester is the victim) and ErrTimeout past the
-// configured bound.
-//
-// This id-based form resolves txn's lock context through a striped
-// registry; hot paths should carry a *Holder instead (NewHolder) and
-// call its methods directly.
-func (m *Manager) Acquire(txn uint64, name Name, mode Mode) error {
-	return m.holderOf(txn).Acquire(name, mode)
 }
 
 func (m *Manager) acquireTable(h *Holder, name Name, mode Mode) error {
@@ -547,6 +515,13 @@ func (m *Manager) removeWaiter(p *partition, name Name, lh *lockHead, w *waiter)
 // transaction that installs its last edge sees every edge of the
 // cycle (each was installed before that DFS began), so the cycle is
 // still always detected by at least one participant.
+//
+// An SLI agent's pseudo-transaction has one implicit out-edge: to the
+// transaction its worker is running. The agent surrenders retained
+// grants only at that transaction's boundary, so whoever waits on the
+// agent waits on that transaction too; the DFS follows the edge from
+// the agent's published current id instead of storing it per
+// transaction.
 func (m *Manager) addWaitEdges(txn uint64, blockers []uint64) bool {
 	st := &m.wf[wfIdx(txn)]
 	st.mu.Lock()
@@ -577,6 +552,12 @@ func (m *Manager) addWaitEdges(txn uint64, blockers []uint64) bool {
 			continue
 		}
 		seen[cur] = true
+		if cur >= agentIDBase {
+			if next := m.agentCurrent(cur); next != 0 {
+				stack = append(stack, next)
+			}
+			continue
+		}
 		cs := &m.wf[wfIdx(cur)]
 		cs.mu.Lock()
 		for nb := range cs.edges[cur] {
@@ -592,15 +573,6 @@ func (m *Manager) clearWaitEdges(txn uint64) {
 	st.mu.Lock()
 	delete(st.edges, txn)
 	st.mu.Unlock()
-}
-
-// Release drops txn's lock on name entirely (all re-entrant counts).
-func (m *Manager) Release(txn uint64, name Name) {
-	if h := m.lookupHolder(txn); h != nil {
-		h.Release(name)
-		return
-	}
-	m.releaseOne(txn, name)
 }
 
 func (m *Manager) releaseOne(txn uint64, name Name) {
@@ -650,26 +622,6 @@ func (m *Manager) grantWaitersLocked(lh *lockHead) {
 	}
 }
 
-// ReleaseAll drops every lock txn holds (2PL release phase). It
-// returns the names released, which SLI agents use to decide what to
-// inherit. Id-based form of Holder.ReleaseAll; it also retires the
-// registry entry Acquire created.
-func (m *Manager) ReleaseAll(txn uint64) []Name {
-	if h := m.takeHolder(txn); h != nil {
-		return h.ReleaseAll()
-	}
-	m.stats.releaseAll.Add(1)
-	return nil
-}
-
-// Held returns the mode txn holds on name (None if not held).
-func (m *Manager) Held(txn uint64, name Name) Mode {
-	if h := m.lookupHolder(txn); h != nil {
-		return h.Held(name)
-	}
-	return None
-}
-
 // contentionOf reports the cumulative conflict count for name.
 func (m *Manager) contentionOf(name Name) int {
 	p := m.part(name)
@@ -687,10 +639,19 @@ func (m *Manager) flagAgentsAmong(ids []uint64) {
 		if id < agentIDBase {
 			continue
 		}
-		if f, ok := m.agents.Load(id); ok {
-			f.(*atomic.Bool).Store(true)
+		if v, ok := m.agents.Load(id); ok {
+			v.(*agentState).reclaim.Store(true)
 		}
 	}
+}
+
+// agentCurrent returns the transaction an agent's worker is running,
+// or 0 when id is not a registered agent.
+func (m *Manager) agentCurrent(id uint64) uint64 {
+	if v, ok := m.agents.Load(id); ok {
+		return v.(*agentState).current.Load()
+	}
+	return 0
 }
 
 // WaitHist returns a snapshot of the transactional lock-wait

@@ -22,9 +22,19 @@ type Agent struct {
 	m  *Manager
 	id uint64 // pseudo-transaction id owning retained grants
 
-	h       *Holder       // lock context of the pseudo-transaction
-	cache   map[Name]Mode // retained locks: name -> mode held by a.id
-	reclaim *atomic.Bool  // set by the manager when someone waits on us
+	h     *Holder       // lock context of the pseudo-transaction
+	cache map[Name]Mode // retained locks: name -> mode held by a.id
+	st    *agentState   // shared with the manager's wait path
+}
+
+// agentState is the part of an agent the manager reads from other
+// goroutines' wait paths.
+type agentState struct {
+	// reclaim is set by the manager when someone waits on the agent.
+	reclaim atomic.Bool
+	// current is the id of the transaction the agent's worker is
+	// running (the last one to acquire through the agent).
+	current atomic.Uint64
 }
 
 // agentIDBase separates agent pseudo-transactions from real ones.
@@ -35,13 +45,13 @@ var agentSeq atomic.Uint64
 // NewAgent registers a new SLI agent with the manager.
 func (m *Manager) NewAgent() *Agent {
 	a := &Agent{
-		m:       m,
-		id:      agentIDBase + agentSeq.Add(1),
-		cache:   make(map[Name]Mode),
-		reclaim: new(atomic.Bool),
+		m:     m,
+		id:    agentIDBase + agentSeq.Add(1),
+		cache: make(map[Name]Mode),
+		st:    new(agentState),
 	}
 	a.h = m.NewHolder(a.id)
-	m.agents.Store(a.id, a.reclaim)
+	m.agents.Store(a.id, a.st)
 	return a
 }
 
@@ -56,7 +66,13 @@ func (m *Manager) NewAgent() *Agent {
 // for h.id, which is a no-op at the table: the agent's grant is
 // untouched.
 func (a *Agent) AcquireFor(h *Holder, name Name, mode Mode) error {
-	a.checkReclaim()
+	if a.st.current.Load() != h.id {
+		// First acquire of a new transaction: a boundary. Retained
+		// grants are never surrendered mid-transaction — the running
+		// transaction may hold them logically (see above).
+		a.st.current.Store(h.id)
+		a.checkReclaim()
+	}
 	a.m.stats.acquires.Add(1)
 	if held, ok := a.cache[name]; ok {
 		if Supremum(held, mode) == held && (mode == IS || mode == IX) {
@@ -67,11 +83,6 @@ func (a *Agent) AcquireFor(h *Holder, name Name, mode Mode) error {
 		}
 	}
 	return a.m.acquireTable(h, name, mode)
-}
-
-// Acquire is the id-based form of AcquireFor.
-func (a *Agent) Acquire(txn uint64, name Name, mode Mode) error {
-	return a.AcquireFor(a.m.holderOf(txn), name, mode)
 }
 
 // OnCommitFor performs the transaction-boundary work: it releases the
@@ -92,26 +103,10 @@ func (a *Agent) OnCommitFor(h *Holder) {
 	}
 }
 
-// OnCommit is the id-based form of OnCommitFor.
-func (a *Agent) OnCommit(txn uint64) {
-	if h := a.m.takeHolder(txn); h != nil {
-		a.OnCommitFor(h)
-		return
-	}
-	a.checkReclaim()
-	a.m.stats.releaseAll.Add(1)
-}
-
 // OnAbortFor releases everything without inheritance (an aborted
 // transaction's locks are not speculation-worthy).
 func (a *Agent) OnAbortFor(h *Holder) {
 	h.ReleaseAll()
-	a.checkReclaim()
-}
-
-// OnAbort is the id-based form of OnAbortFor.
-func (a *Agent) OnAbort(txn uint64) {
-	a.m.ReleaseAll(txn)
 	a.checkReclaim()
 }
 
@@ -134,7 +129,7 @@ func (a *Agent) shouldInherit(name Name, mode Mode) bool {
 // checkReclaim releases every retained lock if any other transaction
 // was observed waiting on this agent.
 func (a *Agent) checkReclaim() {
-	if !a.reclaim.Swap(false) {
+	if !a.st.reclaim.Swap(false) {
 		return
 	}
 	a.ReleaseInherited()
@@ -159,8 +154,12 @@ func (a *Agent) Close() {
 func (a *Agent) InheritedCount() int { return len(a.cache) }
 
 // transfer moves txn's grant on name to the agent pseudo-transaction
-// without releasing it. It reports success; failure (grant vanished)
-// leaves the caller to release normally. A failure that finds the
+// without releasing it. It reports success; failure (grant vanished,
+// or another transaction is queued on name) leaves the caller to
+// release normally. Declining when waiters are queued keeps an agent
+// from re-inheriting a grant right after a reclaim: those waiters
+// flagged the agent once, at enqueue, and would otherwise wait on a
+// retained grant nobody asks to surrender. A failure that finds the
 // head already empty reclaims it like releaseOne would, so a stale
 // head cannot linger in the table.
 func (m *Manager) transfer(txn, agent uint64, name Name) bool {
@@ -172,6 +171,10 @@ func (m *Manager) transfer(txn, agent uint64, name Name) bool {
 		return false
 	}
 	g, ok := lh.granted[txn]
+	if ok && len(lh.queue) != 0 {
+		p.mu.Unlock()
+		return false
+	}
 	if !ok {
 		retired := reclaimHeadLocked(p, name, lh)
 		p.mu.Unlock()

@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
@@ -9,23 +10,24 @@ import (
 func heatUp(t *testing.T, m *Manager, name Name) {
 	t.Helper()
 	for i := 0; i < 10; i++ {
-		txnA, txnB := uint64(9000+i*2), uint64(9001+i*2)
-		if err := m.Acquire(txnA, name, S); err != nil {
+		ha, hb := m.NewHolder(uint64(9000+i*2)), m.NewHolder(uint64(9001+i*2))
+		if err := ha.Acquire(name, S); err != nil {
 			t.Fatal(err)
 		}
 		done := make(chan error, 1)
-		go func() { done <- m.Acquire(txnB, name, X) }() // conflicts: contention++
+		go func() { done <- hb.Acquire(name, X) }() // conflicts: contention++
 		time.Sleep(2 * time.Millisecond)
-		m.ReleaseAll(txnA)
+		ha.ReleaseAll()
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-		m.ReleaseAll(txnB)
+		hb.ReleaseAll()
 	}
 }
 
 func TestSLIInheritsHotIntentLocks(t *testing.T) {
 	m := NewManager(Options{HotThreshold: 2})
+	h100, h200 := m.NewHolder(100), m.NewHolder(200)
 	tbl := TableName(5)
 	heatUp(t, m, tbl)
 
@@ -34,29 +36,30 @@ func TestSLIInheritsHotIntentLocks(t *testing.T) {
 
 	// First transaction acquires through the table and commits; the
 	// hot IX lock should be inherited by the agent.
-	if err := a.Acquire(100, tbl, IX); err != nil {
+	if err := a.AcquireFor(h100, tbl, IX); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Acquire(100, RowName(5, 1), X); err != nil {
+	if err := a.AcquireFor(h100, RowName(5, 1), X); err != nil {
 		t.Fatal(err)
 	}
-	a.OnCommit(100)
+	a.OnCommitFor(h100)
 	if a.InheritedCount() != 1 {
 		t.Fatalf("inherited %d locks, want 1 (the hot table IX)", a.InheritedCount())
 	}
 	// Row lock must have been fully released, not inherited.
-	if err := m.Acquire(200, RowName(5, 1), X); err != nil {
+	if err := h200.Acquire(RowName(5, 1), X); err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(200)
+	h200.ReleaseAll()
 
 	// Subsequent transactions on the same agent skip the table.
 	before := m.StatsSnapshot()
 	for txn := uint64(101); txn <= 110; txn++ {
-		if err := a.Acquire(txn, tbl, IX); err != nil {
+		h100.Reset(txn)
+		if err := a.AcquireFor(h100, tbl, IX); err != nil {
 			t.Fatal(err)
 		}
-		a.OnCommit(txn)
+		a.OnCommitFor(h100)
 	}
 	after := m.StatsSnapshot()
 	if hits := after.Inherited - before.Inherited; hits != 10 {
@@ -69,6 +72,7 @@ func TestSLIInheritsHotIntentLocks(t *testing.T) {
 
 func TestSLIIntentLocksStayCompatibleAcrossAgents(t *testing.T) {
 	m := NewManager(Options{HotThreshold: 1})
+	h300, h301 := m.NewHolder(300), m.NewHolder(301)
 	tbl := TableName(6)
 	heatUp(t, m, tbl)
 
@@ -76,14 +80,14 @@ func TestSLIIntentLocksStayCompatibleAcrossAgents(t *testing.T) {
 	defer a1.Close()
 	defer a2.Close()
 
-	if err := a1.Acquire(300, tbl, IX); err != nil {
+	if err := a1.AcquireFor(h300, tbl, IX); err != nil {
 		t.Fatal(err)
 	}
-	a1.OnCommit(300)
-	if err := a2.Acquire(301, tbl, IX); err != nil {
+	a1.OnCommitFor(h300)
+	if err := a2.AcquireFor(h301, tbl, IX); err != nil {
 		t.Fatal(err) // IX + IX compatible even with a1's retained lock
 	}
-	a2.OnCommit(301)
+	a2.OnCommitFor(h301)
 	if a1.InheritedCount() == 0 || a2.InheritedCount() == 0 {
 		t.Fatal("both agents should retain the hot IX")
 	}
@@ -91,15 +95,16 @@ func TestSLIIntentLocksStayCompatibleAcrossAgents(t *testing.T) {
 
 func TestSLIReclaimOnConflict(t *testing.T) {
 	m := NewManager(Options{HotThreshold: 1})
+	h400, h401, h500 := m.NewHolder(400), m.NewHolder(401), m.NewHolder(500)
 	tbl := TableName(7)
 	heatUp(t, m, tbl)
 
 	a := m.NewAgent()
 	defer a.Close()
-	if err := a.Acquire(400, tbl, IX); err != nil {
+	if err := a.AcquireFor(h400, tbl, IX); err != nil {
 		t.Fatal(err)
 	}
-	a.OnCommit(400)
+	a.OnCommitFor(h400)
 	if a.InheritedCount() != 1 {
 		t.Fatal("setup: lock not inherited")
 	}
@@ -107,7 +112,7 @@ func TestSLIReclaimOnConflict(t *testing.T) {
 	// Another transaction wants table X: blocked by the agent's
 	// retained IX.
 	got := make(chan error, 1)
-	go func() { got <- m.Acquire(500, tbl, X) }()
+	go func() { got <- h500.Acquire(tbl, X) }()
 	select {
 	case <-got:
 		t.Fatal("X granted while agent retained IX")
@@ -115,10 +120,10 @@ func TestSLIReclaimOnConflict(t *testing.T) {
 	}
 
 	// The agent's next boundary must surrender the retained lock.
-	if err := a.Acquire(401, RowName(7, 1), X); err != nil {
+	if err := a.AcquireFor(h401, RowName(7, 1), X); err != nil {
 		t.Fatal(err)
 	}
-	a.OnCommit(401)
+	a.OnCommitFor(h401)
 	select {
 	case err := <-got:
 		if err != nil {
@@ -130,11 +135,12 @@ func TestSLIReclaimOnConflict(t *testing.T) {
 	if a.InheritedCount() != 0 {
 		t.Fatal("cache not cleared after reclaim")
 	}
-	m.ReleaseAll(500)
+	h500.ReleaseAll()
 }
 
 func TestSLIDoesNotInheritRowOrExclusive(t *testing.T) {
 	m := NewManager(Options{HotThreshold: 1})
+	h600 := m.NewHolder(600)
 	row := RowName(8, 1)
 	heatUp(t, m, row)
 	tbl := TableName(8)
@@ -142,13 +148,13 @@ func TestSLIDoesNotInheritRowOrExclusive(t *testing.T) {
 
 	a := m.NewAgent()
 	defer a.Close()
-	if err := a.Acquire(600, row, X); err != nil {
+	if err := a.AcquireFor(h600, row, X); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Acquire(600, tbl, S); err != nil { // S is not an intent mode
+	if err := a.AcquireFor(h600, tbl, S); err != nil { // S is not an intent mode
 		t.Fatal(err)
 	}
-	a.OnCommit(600)
+	a.OnCommitFor(h600)
 	if a.InheritedCount() != 0 {
 		t.Fatalf("agent inherited %d non-intent locks", a.InheritedCount())
 	}
@@ -156,22 +162,23 @@ func TestSLIDoesNotInheritRowOrExclusive(t *testing.T) {
 
 func TestSLIAbortReleasesEverything(t *testing.T) {
 	m := NewManager(Options{HotThreshold: 1})
+	h700, h701 := m.NewHolder(700), m.NewHolder(701)
 	tbl := TableName(10)
 	heatUp(t, m, tbl)
 	a := m.NewAgent()
 	defer a.Close()
-	if err := a.Acquire(700, tbl, IX); err != nil {
+	if err := a.AcquireFor(h700, tbl, IX); err != nil {
 		t.Fatal(err)
 	}
-	a.OnAbort(700)
+	a.OnAbortFor(h700)
 	if a.InheritedCount() != 0 {
 		t.Fatal("abort inherited locks")
 	}
 	// Table must be immediately lockable in X.
-	if err := m.Acquire(701, tbl, X); err != nil {
+	if err := h701.Acquire(tbl, X); err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(701)
+	h701.ReleaseAll()
 }
 
 // TestSLIInheritedHitNotesHolder pins the bookkeeping contract of a
@@ -181,6 +188,7 @@ func TestSLIAbortReleasesEverything(t *testing.T) {
 // retained grant nor leaves the name in the holder's set.
 func TestSLIInheritedHitNotesHolder(t *testing.T) {
 	m := NewManager(Options{HotThreshold: 2})
+	h950 := m.NewHolder(950)
 	tbl := TableName(11)
 	heatUp(t, m, tbl)
 
@@ -225,7 +233,7 @@ func TestSLIInheritedHitNotesHolder(t *testing.T) {
 	// The retained grant is real: it still blocks a table X until the
 	// agent lets go.
 	got := make(chan error, 1)
-	go func() { got <- m.Acquire(950, tbl, X) }()
+	go func() { got <- h950.Acquire(tbl, X) }()
 	select {
 	case <-got:
 		t.Fatal("X granted past the agent's retained IX")
@@ -235,5 +243,98 @@ func TestSLIInheritedHitNotesHolder(t *testing.T) {
 	if err := <-got; err != nil {
 		t.Fatal(err)
 	}
-	m.ReleaseAll(950)
+	h950.ReleaseAll()
+}
+
+// TestSLIDeadlockThroughAgent pins the waits-for edge from an agent
+// to the transaction its worker runs. The agent retains the hot table
+// IX; its current transaction B waits on a row held by A; A then
+// escalates to a table X, which the agent's retained IX blocks. The
+// agent surrenders only at B's boundary, which never comes while B
+// waits on A: a cycle the detector must break with ErrDeadlock rather
+// than leave to the wait timeout.
+func TestSLIDeadlockThroughAgent(t *testing.T) {
+	m := NewManager(Options{HotThreshold: 1, EscalationThreshold: 2, WaitTimeout: 5 * time.Second})
+	tbl := TableName(12)
+	heatUp(t, m, tbl)
+	a := m.NewAgent()
+	defer a.Close()
+
+	hb := m.NewHolder(1000)
+	if err := a.AcquireFor(hb, tbl, IX); err != nil {
+		t.Fatal(err)
+	}
+	a.OnCommitFor(hb)
+	if a.InheritedCount() != 1 {
+		t.Fatal("setup: hot IX not inherited")
+	}
+	hb.Reset(1001)
+	if err := a.AcquireFor(hb, tbl, IX); err != nil { // served from the agent's grant
+		t.Fatal(err)
+	}
+
+	ha := m.NewHolder(2000)
+	if err := ha.Acquire(tbl, IX); err != nil {
+		t.Fatal(err)
+	}
+	if err := ha.Acquire(RowName(12, 1), X); err != nil {
+		t.Fatal(err)
+	}
+	bErr := make(chan error, 1)
+	go func() { bErr <- a.AcquireFor(hb, RowName(12, 1), X) }()
+	waitQueueLen(t, m, RowName(12, 1), 1)
+
+	// The second row lock crosses the threshold: A upgrades its table
+	// IX to X and waits on the agent.
+	start := time.Now()
+	err := ha.Acquire(RowName(12, 2), X)
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("escalating txn: err = %v after %v, want ErrDeadlock", err, time.Since(start))
+	}
+	ha.ReleaseAll()
+	if err := <-bErr; err != nil {
+		t.Fatalf("agent's transaction after the victim aborted: %v", err)
+	}
+	a.OnCommitFor(hb)
+	if st := m.StatsSnapshot(); st.Timeouts != 0 || st.Deadlocks != 1 {
+		t.Fatalf("timeouts=%d deadlocks=%d, want 0 and 1", st.Timeouts, st.Deadlocks)
+	}
+}
+
+// TestSLIReclaimWaitsForBoundary pins that reclaim happens only at a
+// transaction boundary: a transaction served from the agent's
+// retained IX logically holds it, so a conflicting table X queued
+// mid-transaction must wait until that transaction commits.
+func TestSLIReclaimWaitsForBoundary(t *testing.T) {
+	m := NewManager(Options{HotThreshold: 1})
+	tbl := TableName(13)
+	heatUp(t, m, tbl)
+	a := m.NewAgent()
+	defer a.Close()
+	hb, hx := m.NewHolder(1100), m.NewHolder(1200)
+	if err := a.AcquireFor(hb, tbl, IX); err != nil {
+		t.Fatal(err)
+	}
+	a.OnCommitFor(hb)
+	hb.Reset(1101)
+	if err := a.AcquireFor(hb, tbl, IX); err != nil {
+		t.Fatal(err)
+	}
+
+	got := make(chan error, 1)
+	go func() { got <- hx.Acquire(tbl, X) }()
+	waitQueueLen(t, m, tbl, 1)
+	if err := a.AcquireFor(hb, RowName(13, 1), X); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-got:
+		t.Fatal("table X granted while the agent's transaction still held IX")
+	case <-time.After(20 * time.Millisecond):
+	}
+	a.OnCommitFor(hb)
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+	hx.ReleaseAll()
 }

@@ -10,11 +10,12 @@ import (
 )
 
 // TestManagerConcurrentStress drives every public entry point of the
-// manager — holder-based acquisition, the id-based compatibility API,
-// SLI agents with inheritance and reclaim, escalation, and ReleaseAll
-// — from many goroutines at once. Meant for -race: the holders, the
-// striped waits-for graph and the per-partition heat maps all see
-// cross-goroutine traffic here.
+// manager — holder-based acquisition, SLI agents with inheritance and
+// reclaim, escalation, and ReleaseAll — from many goroutines at once.
+// Meant for -race: the holders, the striped waits-for graph and the
+// per-partition heat maps all see cross-goroutine traffic here. Every
+// cycle, including one through an agent's retained grant, must be
+// broken by the deadlock detector: no wait may run into the timeout.
 func TestManagerConcurrentStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
@@ -45,36 +46,31 @@ func TestManagerConcurrentStress(t *testing.T) {
 				agent = m.NewAgent()
 				defer agent.Close()
 			}
-			useHolder := w%4 < 2 // mix holder-based and id-based callers
+			// Half the workers recycle one holder, as engine workers
+			// do; the rest take a fresh holder per transaction.
+			var h *Holder
+			if w%4 < 2 {
+				h = m.NewHolder(0)
+			}
 			for i := 0; i < iters; i++ {
 				txn := uint64(w)<<32 | uint64(i+1)
-				var h *Holder
-				if useHolder {
+				if w%4 < 2 {
+					h.Reset(txn)
+				} else {
 					h = m.NewHolder(txn)
 				}
 				acquire := func(name Name, mode Mode) error {
-					switch {
-					case agent != nil && h != nil:
+					if agent != nil {
 						return agent.AcquireFor(h, name, mode)
-					case agent != nil:
-						return agent.Acquire(txn, name, mode)
-					case h != nil:
-						return h.Acquire(name, mode)
-					default:
-						return m.Acquire(txn, name, mode)
 					}
+					return h.Acquire(name, mode)
 				}
 				release := func() {
-					switch {
-					case agent != nil && h != nil:
+					if agent != nil {
 						agent.OnCommitFor(h)
-					case agent != nil:
-						agent.OnCommit(txn)
-					case h != nil:
-						h.ReleaseAll()
-					default:
-						m.ReleaseAll(txn)
+						return
 					}
+					h.ReleaseAll()
 				}
 				table := uint32(1 + r.Intn(tables))
 				ok := true
@@ -106,15 +102,20 @@ func TestManagerConcurrentStress(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	if st := m.StatsSnapshot(); st.Timeouts != 0 {
+		t.Errorf("%d waits timed out (deadlocks detected: %d): the detector missed a cycle",
+			st.Timeouts, st.Deadlocks)
+	}
 
 	// Everything must be released or inherited by compatible agent
 	// grants: a fresh transaction can take X on every table.
+	h := m.NewHolder(1)
 	for table := uint32(1); table <= tables; table++ {
-		if err := m.Acquire(1, TableName(table), X); err != nil {
+		if err := h.Acquire(TableName(table), X); err != nil {
 			t.Fatalf("post-stress X on table %d: %v", table, err)
 		}
 	}
-	m.ReleaseAll(1)
+	h.ReleaseAll()
 }
 
 // TestLockHeadRecyclingStress churns the full head lifecycle under
@@ -189,10 +190,11 @@ func TestLockHeadRecyclingStress(t *testing.T) {
 	}
 
 	// Recycled heads must still enforce exclusivity correctly.
+	h := m.NewHolder(1)
 	for k := uint64(0); k < keys; k++ {
-		if err := m.Acquire(1, RowName(1, k), X); err != nil {
+		if err := h.Acquire(RowName(1, k), X); err != nil {
 			t.Fatalf("post-stress X on key %d: %v", k, err)
 		}
 	}
-	m.ReleaseAll(1)
+	h.ReleaseAll()
 }

@@ -73,8 +73,13 @@ func (c *Client) CreateTable(name string) error {
 	return expectOK(reply)
 }
 
-// Set upserts a value.
+// Set upserts a value. The value travels byte-exact, spaces
+// included, but a line protocol cannot carry a line break: a value
+// holding '\n' or '\r' is refused before anything is sent.
 func (c *Client) Set(table string, key uint64, value string) error {
+	if strings.ContainsAny(value, "\r\n") {
+		return fmt.Errorf("server: SET value for key %d contains a line break", key)
+	}
 	reply, err := c.roundTrip(fmt.Sprintf("SET %s %d %s", table, key, value))
 	if err != nil {
 		return err

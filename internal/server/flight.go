@@ -281,8 +281,10 @@ func (fr *FlightRecorder) bump(k StallKind, now int64, detail func() string) {
 		return
 	}
 	fr.lastFire[k] = now
-	fr.counts[k].Add(1)
 	fr.capture(k, now, detail(), fr.streak[k], cooled)
+	// Count only once the bundle is retained: a reader that sees the
+	// count move must find the incident in Snapshot.
+	fr.counts[k].Add(1)
 	fr.streak[k] = 0
 }
 

@@ -147,8 +147,7 @@ func TestMetricsExposition(t *testing.T) {
 // TestPhaseMetricsExposition drives committed traffic and asserts the
 // transaction critical-path accounting families — phase histograms,
 // the slow-transaction reservoir, and the incident counters — appear
-// in the Prometheus exposition. CI's bench-smoke target runs this to
-// guard the observability contract.
+// in the Prometheus exposition and on /stats.
 func TestPhaseMetricsExposition(t *testing.T) {
 	e, ts := startMetrics(t)
 	tbl, err := e.CreateTable("ph")
@@ -185,7 +184,7 @@ func TestPhaseMetricsExposition(t *testing.T) {
 	if err := json.Unmarshal([]byte(get(t, ts.URL+"/stats")), &st); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Phases) == 0 {
+	if len(st.Family("hydra_txn_total_seconds").Series) == 0 {
 		t.Fatal("/stats has no phase cells after committed traffic")
 	}
 }
@@ -202,7 +201,6 @@ func TestDoraMetricsExposition(t *testing.T) {
 	d := dora.New(e, dora.Options{Executors: 4})
 	defer d.Close()
 	for i := uint64(0); i < 64; i++ {
-		i := i
 		if err := d.ExecSingle(dora.Action{Table: tbl, Key: i, Fn: func(tx *core.Txn) error {
 			return tx.Insert(tbl, i, []byte("v"))
 		}}); err != nil {
@@ -211,8 +209,7 @@ func TestDoraMetricsExposition(t *testing.T) {
 	}
 	// One guaranteed cross-partition transaction: two keys on
 	// different executors.
-	k1 := uint64(1)
-	k2 := uint64(2)
+	k1, k2 := uint64(1), uint64(2)
 	for ; d.Route(tbl, k2) == d.Route(tbl, k1); k2++ {
 	}
 	if err := d.Exec([]dora.Phase{{
@@ -246,16 +243,16 @@ func TestDoraMetricsExposition(t *testing.T) {
 	if err := json.Unmarshal([]byte(get(t, ts.URL+"/stats")), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Dora.ActionsExecuted < 66 {
-		t.Errorf("dora actions = %d, want >= 66", st.Dora.ActionsExecuted)
+	if got := st.Value("hydra_dora_actions_total"); got < 66 {
+		t.Errorf("dora actions = %v, want >= 66", got)
 	}
-	if st.Dora.SinglePartition != 64 || st.Dora.CrossPartition != 1 {
-		t.Errorf("dora txns: single=%d cross=%d", st.Dora.SinglePartition, st.Dora.CrossPartition)
+	if s, c := st.Value("hydra_dora_txns_total", "path", "single"), st.Value("hydra_dora_txns_total", "path", "cross"); s != 64 || c != 1 {
+		t.Errorf("dora txns: single=%v cross=%v", s, c)
 	}
-	if len(st.Dora.QueueDepths) != 4 {
-		t.Errorf("queue depths = %v", st.Dora.QueueDepths)
+	if n := len(st.Family("hydra_dora_queue_depth").Series); n != 4 {
+		t.Errorf("queue depths: %d executors, want 4", n)
 	}
-	if st.Dora.Service.Count == 0 {
+	if st.Hist("hydra_dora_action_service_seconds").Count == 0 {
 		t.Error("dora service histogram empty")
 	}
 }
@@ -274,26 +271,30 @@ func TestStatsJSONEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(get(t, ts.URL+"/stats")), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Commits == 0 {
+	if st.Value("hydra_commits_total") == 0 {
 		t.Error("commits not reported")
 	}
-	if st.Log.Inserts == 0 {
+	if st.Value("hydra_log_inserts_total") == 0 {
 		t.Error("log inserts not reported")
 	}
 	// The committed insert took and released row/table locks, so the
 	// lock-head lifecycle counters must be live on the wire.
-	if st.Lock.HeadAllocs == 0 {
+	if st.Value("hydra_lock_head_allocs_total") == 0 {
 		t.Error("lock head allocs not reported")
 	}
-	if st.Lock.HeadRetires == 0 {
+	if st.Value("hydra_lock_head_retires_total") == 0 {
 		t.Error("lock head retires not reported")
 	}
-	if len(st.Latches) == 0 {
+	tiers := st.Family("hydra_latch_acquires_total").Series
+	if len(tiers) == 0 {
 		t.Error("no latch tiers reported")
 	}
-	for _, tier := range st.Latches {
-		if tier.Ops == 0 {
-			t.Errorf("tier %q reported with zero ops", tier.Tier)
+	for _, tier := range tiers {
+		if tier.Value == 0 {
+			t.Errorf("tier %q reported with zero ops", tier.Labels["tier"])
+		}
+		if st.Hist("hydra_latch_acquire_seconds", "tier", tier.Labels["tier"]).Count == 0 {
+			t.Errorf("tier %q has no acquire distribution", tier.Labels["tier"])
 		}
 	}
 }
@@ -408,12 +409,12 @@ func TestScrapeUnderLoad(t *testing.T) {
 	if err := json.Unmarshal([]byte(get(t, ts.URL+"/stats")), &st); err != nil {
 		t.Fatal(err)
 	}
-	wantAborts := uint64(writers * txns / 5)
-	if st.Aborts < wantAborts {
-		t.Errorf("aborts = %d, want >= %d", st.Aborts, wantAborts)
+	wantAborts := float64(writers * txns / 5)
+	if got := st.Value("hydra_aborts_total"); got < wantAborts {
+		t.Errorf("aborts = %v, want >= %v", got, wantAborts)
 	}
-	if st.Commits < uint64(writers*txns)-wantAborts {
-		t.Errorf("commits = %d, want >= %d", st.Commits, uint64(writers*txns)-wantAborts)
+	if got := st.Value("hydra_commits_total"); got < writers*txns-wantAborts {
+		t.Errorf("commits = %v, want >= %v", got, writers*txns-wantAborts)
 	}
 }
 
@@ -430,10 +431,10 @@ func TestStatsFullProtocolCommand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Commits == 0 {
+	if st.Value("hydra_commits_total") == 0 {
 		t.Error("STATS FULL reported zero commits")
 	}
-	if len(st.Latches) == 0 {
+	if len(st.Family("hydra_latch_acquires_total").Series) == 0 {
 		t.Error("STATS FULL reported no latch tiers")
 	}
 }
@@ -442,8 +443,6 @@ func TestStatsFullProtocolCommand(t *testing.T) {
 // MVCC-enabled engine and asserts the hydra_mvcc_* families (and the
 // lock bypass counter) appear in the exposition, with the zero-lock
 // signature: snapshot reads climb while lock acquires stay flat.
-// CI's bench-smoke target runs this to guard the observability
-// contract.
 func TestMVCCMetricsExposition(t *testing.T) {
 	cfg := core.Scalable()
 	cfg.MVCC = true
@@ -534,21 +533,20 @@ func TestMVCCMetricsExposition(t *testing.T) {
 	if err := json.Unmarshal([]byte(get(t, ts.URL+"/stats")), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Mvcc.SnapshotReads < 65 {
-		t.Errorf("snapshot reads = %d, want >= 65", st.Mvcc.SnapshotReads)
+	if got := st.Value("hydra_mvcc_snapshot_reads_total"); got < 65 {
+		t.Errorf("snapshot reads = %v, want >= 65", got)
 	}
-	if st.Mvcc.ChainReads == 0 {
+	if st.Value("hydra_mvcc_chain_reads_total") == 0 {
 		t.Error("no chain reads recorded")
 	}
-	if st.Mvcc.SnapshotBegins != 1 || st.Mvcc.ActiveSnapshots != 1 {
-		t.Errorf("snapshot registry: begins=%d active=%d", st.Mvcc.SnapshotBegins, st.Mvcc.ActiveSnapshots)
+	if b, a := st.Value("hydra_mvcc_snapshot_begins_total"), st.Value("hydra_mvcc_active_snapshots"); b != 1 || a != 1 {
+		t.Errorf("snapshot registry: begins=%v active=%v", b, a)
 	}
-	if st.Lock.Bypasses < 65 {
-		t.Errorf("lock bypasses = %d, want >= 65", st.Lock.Bypasses)
+	if got := st.Value("hydra_lock_bypasses_total"); got < 65 {
+		t.Errorf("lock bypasses = %v, want >= 65", got)
 	}
-	if st.Mvcc.SIBegins != 2 || st.Mvcc.SICommits != 1 || st.Mvcc.SIConflictAborts != 1 {
-		t.Errorf("si counters: begins=%d commits=%d conflicts=%d",
-			st.Mvcc.SIBegins, st.Mvcc.SICommits, st.Mvcc.SIConflictAborts)
+	if b, c, x := st.Value("hydra_mvcc_si_begins_total"), st.Value("hydra_mvcc_si_commits_total"), st.Value("hydra_mvcc_si_conflict_aborts_total"); b != 2 || c != 1 || x != 1 {
+		t.Errorf("si counters: begins=%v commits=%v conflicts=%v", b, c, x)
 	}
 	if err := s.Commit(); err != nil {
 		t.Fatal(err)

@@ -162,14 +162,15 @@ func TestStatsFullDuringLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Phases) == 0 {
+	cells := st.Family("hydra_txn_total_seconds").Series
+	if len(cells) == 0 {
 		t.Fatal("STATS FULL carries no phase cells after committed traffic")
 	}
-	cell := st.Phases[0]
-	if cell.Path != "conv" || cell.Outcome != "commit" || cell.Count == 0 {
+	cell := cells[0]
+	if cell.Labels["path"] != "conv" || cell.Labels["outcome"] != "commit" || cell.Value == 0 {
 		t.Fatalf("unexpected first phase cell: %+v", cell)
 	}
-	if cell.Total.Count == 0 {
+	if cell.Hist == nil || cell.Hist.Count == 0 {
 		t.Fatal("phase cell total histogram empty")
 	}
 }

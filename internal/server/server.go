@@ -7,7 +7,7 @@
 //
 //	PING                         -> +PONG
 //	CREATE <table>               -> +OK
-//	SET <table> <key> <value...> -> +OK          (value = rest of line)
+//	SET <table> <key> <value...> -> +OK          (value = rest of line, byte-exact)
 //	GET <table> <key>            -> +VALUE <value> | -ERR not found
 //	DEL <table> <key>            -> +OK
 //	SCAN <table> <lo> <hi> <max> -> +ROW <key> <value> ... +END
@@ -238,13 +238,13 @@ func (s *Server) dispatch(line string, txn **core.Txn) (string, bool) {
 		return fmt.Sprintf("+VALUE commits=%d aborts=%d lock_acquires=%d log_inserts=%d buf_hits=%d buf_misses=%d",
 			st.Commits, st.Aborts, st.Lock.Acquires, st.Log.Inserts, st.Buffer.Hits, st.Buffer.Misses), false
 	case "SET", "GET", "DEL", "SCAN":
-		return s.data(cmd, fields, txn), false
+		return s.data(cmd, line, fields, txn), false
 	default:
 		return fmt.Sprintf("-ERR unknown command %q", cmd), false
 	}
 }
 
-func (s *Server) data(cmd string, fields []string, txn **core.Txn) string {
+func (s *Server) data(cmd, line string, fields []string, txn **core.Txn) string {
 	if len(fields) < 3 {
 		return "-ERR missing table/key"
 	}
@@ -272,10 +272,11 @@ func (s *Server) data(cmd string, fields []string, txn **core.Txn) string {
 
 	switch cmd {
 	case "SET":
-		if len(fields) < 4 {
+		v, ok := afterFields(line, 3)
+		if !ok {
 			return "-ERR usage: SET <table> <key> <value>"
 		}
-		val := []byte(strings.Join(fields[3:], " "))
+		val := []byte(v)
 		err := run(func(tx *core.Txn) error {
 			err := tx.Update(tbl, key, val)
 			if errors.Is(err, core.ErrNotFound) {
@@ -327,6 +328,23 @@ func (s *Server) data(cmd string, fields []string, txn **core.Txn) string {
 		return sb.String() + "+END"
 	}
 	return "-ERR unreachable"
+}
+
+// afterFields returns the raw bytes of line after its first n
+// whitespace-separated fields and the one separator that ends the
+// last of them: a SET value keeps its leading, trailing and repeated
+// spaces.
+func afterFields(line string, n int) (string, bool) {
+	rest := line
+	for range n {
+		rest = strings.TrimLeft(rest, " \t")
+		i := strings.IndexAny(rest, " \t")
+		if i < 0 {
+			return "", false
+		}
+		rest = rest[i:]
+	}
+	return rest[1:], true
 }
 
 func errReply(err error) string {

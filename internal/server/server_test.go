@@ -154,6 +154,49 @@ func TestProtocolErrors(t *testing.T) {
 	}
 }
 
+// TestSetValuesByteExact round-trips values with leading, trailing,
+// repeated and only spaces through SET, GET and SCAN: the server takes
+// the raw bytes after the key field, not its whitespace-split fields.
+// Values with a line break are refused by the client before sending.
+func TestSetValuesByteExact(t *testing.T) {
+	_, addr := startServer(t)
+	c := dial(t, addr)
+	if err := c.CreateTable("kv"); err != nil {
+		t.Fatal(err)
+	}
+	values := []string{" lead", "trail ", "two  inner   gaps", "  both  ", " ", "   ", "", "a\tb"}
+	for i, v := range values {
+		if err := c.Set("kv", uint64(i), v); err != nil {
+			t.Fatalf("Set(%q): %v", v, err)
+		}
+		if got, err := c.Get("kv", uint64(i)); err != nil || got != v {
+			t.Errorf("Get = %q, %v; want %q", got, err, v)
+		}
+	}
+	rows, err := c.Scan("kv", 0, uint64(len(values)), len(values))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(values) {
+		t.Fatalf("scan returned %d rows, want %d", len(rows), len(values))
+	}
+	for _, r := range rows {
+		if r.Value != values[r.Key] {
+			t.Errorf("Scan row %d = %q, want %q", r.Key, r.Value, values[r.Key])
+		}
+	}
+	for _, bad := range []string{"a\nb", "a\rb", "\n"} {
+		if err := c.Set("kv", 99, bad); err == nil {
+			t.Errorf("Set(%q) accepted a line break", bad)
+		}
+	}
+	// The refused values never reached the server: the connection is
+	// still in step and key 99 was never written.
+	if _, err := c.Get("kv", 99); err == nil || !strings.Contains(err.Error(), "not found") {
+		t.Fatalf("get of refused key: %v", err)
+	}
+}
+
 func TestConcurrentClients(t *testing.T) {
 	_, addr := startServer(t)
 	admin := dial(t, addr)

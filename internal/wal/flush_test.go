@@ -141,7 +141,7 @@ func TestFlusherDeathUnblocksRingFullInserters(t *testing.T) {
 			dev := NewMem()
 			bang := errors.New("disk on fire")
 			dev.FailAfter(1, bang) // first flush write dies
-			l, err := New(dev, Options{Kind: kind, SyncOnFlush: true})
+			l, err := New(dev, Options{Kind: kind, SyncOnFlush: true, BufferSize: EncodedSize(MaxPayload)})
 			if err != nil {
 				t.Fatal(err)
 			}
