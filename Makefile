@@ -2,7 +2,7 @@ GO ?= go
 VET_SUMMARIES := .hydra-vet/summaries.json
 VET_BASELINE  := vet.baseline.json
 
-.PHONY: build test race vet lint vet-baseline vet-update-baseline stress stress-dora bench bench-json bench-wal bench-lock bench-dora bench-smoke perfbench-check
+.PHONY: build test race vet lint vet-baseline vet-update-baseline stress stress-dora stress-wal bench bench-json bench-wal bench-lock bench-dora bench-smoke perfbench-check
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,14 @@ race:
 # load and the canceled-parked-action regression.
 stress-dora:
 	$(GO) test -race -count=1 -run 'TestStressMixedPaths|TestCanceledParkedActionNeverRuns|TestCloseUnderLoad' ./internal/dora/
+
+# stress-wal runs the WAL flush-path tests under the race detector,
+# 20 times each: committers leading their own flush, group commit
+# behind a slow device, committers racing Close, and the poisoning
+# paths (a failed leader or flusher flush must wake parked committers
+# and ring-full inserters).
+stress-wal:
+	$(GO) test -race -count=20 -run 'TestCommitterLeadsFlush|TestInsertsDoNotWakeFlusher|TestWaitFlushedGroupCommit|TestCommittersRaceClose|TestLeaderFlushFailurePoisonsLog|TestFlusherDeathUnblocksRingFullInserters|TestFlusherErrorPoisonsLog' ./internal/wal/
 
 vet:
 	$(GO) vet ./...

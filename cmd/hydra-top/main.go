@@ -119,9 +119,10 @@ func render(w io.Writer, st, prev *server.StatsJSON, slow *server.SlowJSON, dt t
 		r("hydra_buffer_evictions_total"), r("hydra_buffer_writebacks_total"))
 
 	flushes := v("hydra_log_flushes_total")
-	fmt.Fprintf(w, "log     insert=%-9s flush=%-9s batch=%.1f rec/flush  group=%.0f\n",
+	fmt.Fprintf(w, "log     insert=%-9s flush=%-9s batch=%.1f rec/flush  group=%.0f  led=%.0f%%\n",
 		r("hydra_log_inserts_total"), r("hydra_log_flushes_total"),
-		ratio(v("hydra_log_inserts_total"), flushes), v("hydra_log_group_inserts_total"))
+		ratio(v("hydra_log_inserts_total"), flushes), v("hydra_log_group_inserts_total"),
+		100*ratio(v("hydra_log_leader_flushes_total"), flushes))
 
 	// Per-flush syscall budget of the batched flush path: write
 	// submissions and fsyncs per flush (vectored target: 1 write per

@@ -81,6 +81,11 @@ var Hierarchy = map[string]int{
 	// window, and nothing is acquired under a shard.
 	"core.verShard.mu": invariant.TierMVCCShard,
 
+	// The WAL flush mutex: held across device IO by whichever goroutine
+	// runs the flush (a committer leading it, the flusher, Close), and
+	// ascends into the WAL bookkeeping mutexes below.
+	"wal.Log.flushOnceMu": invariant.TierWALFlush,
+
 	// Tier 4: short bookkeeping mutexes — leaves of the hierarchy;
 	// nothing may be acquired under them (and lockscope/blockscope
 	// separately forbid blocking there).

@@ -97,8 +97,15 @@ func (e *Engine) ExecSI(fn func(tx *Txn) error) error {
 			if err = t.Commit(); err == nil {
 				return nil
 			}
+			// Commit's conflict and expiry exits retire the handle, and
+			// the pool may already have handed it to another
+			// transaction: it must not be read again. Every other
+			// commit error leaves it active.
+			if errors.Is(err, ErrWriteConflict) || errors.Is(err, ErrSnapshotExpired) {
+				t = nil
+			}
 		}
-		if t.state == txnActive {
+		if t != nil && t.state == txnActive {
 			if aerr := t.Abort(); aerr != nil {
 				return fmt.Errorf("core: abort after %v: %w", err, aerr)
 			}

@@ -527,9 +527,12 @@ func (d *Engine) execCross(phases []Phase) error {
 				// outstanding action then reports in — swept and
 				// still-queued ones as canceled, running ones when
 				// their body returns — so the countdown drains fully.
+				// The timeout is recorded before the cancel mark: an
+				// executor that sees the mark reports errCanceled, and
+				// the first error recorded is the one returned.
+				c.setErr(fmt.Errorf("%w (phase of %d actions)", ErrTimeout, len(ph)))
 				c.canceled.Store(true)
 				d.timeouts.Inc()
-				c.setErr(fmt.Errorf("%w (phase of %d actions)", ErrTimeout, len(ph)))
 				c.forEachTouched(func(id int) {
 					d.exec[id].queue.Put(job{kind: jobCancel, tid: tid})
 				})

@@ -34,6 +34,7 @@ const (
 	TierMVCCShard   = 62 // core.verShard.mu (version chains; acquired under page latches on install)
 	TierPoolShard   = 70 // buffer.shard.mu
 	TierFileStore   = 72 // buffer.FileStore.mu
+	TierWALFlush    = 78 // wal.Log.flushOnceMu (flush leaders on committer goroutines, held across device IO)
 	TierWALLog      = 80 // wal.Log.mu
 	TierWALWait     = 82 // wal.Log.waitMu
 	TierWALDevice   = 84 // wal.SegmentedDevice.mu

@@ -46,7 +46,9 @@ func (t Tier) String() string {
 // timing. An unsampled acquisition costs one striped atomic add and a
 // branch; a sampled one adds two monotonic clock reads. At 1/64 the
 // amortized clock cost is well under a nanosecond per acquisition
-// while a few thousand acquisitions already give a stable tail.
+// while a few thousand acquisitions already give a stable tail. The
+// first acquisition on each stripe is among the sampled ones, so a
+// tier with any traffic at all has a time-to-acquire distribution.
 const sampleMask = 63
 
 // AcquireProf profiles one latch tier: how often it is acquired and,
@@ -63,7 +65,7 @@ type AcquireProf struct {
 // this one is timed. It returns the start timestamp, or -1 when
 // unsampled; pass the value to Done after the latch is held.
 func (p *AcquireProf) Start() int64 {
-	if p.ops.IncSeq()&sampleMask != 0 {
+	if p.ops.IncSeq()&sampleMask != 1 {
 		return -1
 	}
 	return Now()

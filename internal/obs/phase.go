@@ -38,9 +38,12 @@ const (
 	// buffer-full waits, insert-mutex contention, consolidation-array
 	// group waits. The uncontended reserve-copy path contributes zero.
 	PhaseLogInsert
-	// PhaseFlushWait is commit durability wait: time parked in
-	// WaitFlushed until the flusher advances the durable LSN past the
-	// transaction's commit record.
+	// PhaseFlushWait is commit durability wait: time in WaitFlushed
+	// until the durable LSN passes the transaction's commit record,
+	// whether the committer leads the flush itself or parks behind a
+	// flush already running. SyncCommit-off transactions never wait:
+	// their records become durable within the WAL's FlushInterval (the
+	// durability lag), at the next commit that does wait, or at Close.
 	PhaseFlushWait
 	// PhaseQueueWait is DORA executor-queue time: from job enqueue to
 	// the executor draining it.

@@ -166,11 +166,12 @@ var families = []family{
 	counterOf("hydra_log_inserts_total", "Log records inserted.", func(s *sample) uint64 { return s.Log.Inserts }),
 	counterOf("hydra_log_inserted_bytes_total", "Log bytes inserted.", func(s *sample) uint64 { return s.Log.InsertedBytes }),
 	counterOf("hydra_log_flushes_total", "Log flush IOs issued.", func(s *sample) uint64 { return s.Log.Flushes }),
+	counterOf("hydra_log_leader_flushes_total", "Log flushes run by a committer on its own goroutine.", func(s *sample) uint64 { return s.Log.LeaderFlushes }),
 	counterOf("hydra_log_flushed_bytes_total", "Log bytes flushed.", func(s *sample) uint64 { return s.Log.FlushedBytes }),
 	counterOf("hydra_log_mutex_acquires_total", "Log allocation-mutex acquisitions.", func(s *sample) uint64 { return s.Log.MutexAcquires }),
 	counterOf("hydra_log_group_inserts_total", "Log records that joined a consolidation group led by another.", func(s *sample) uint64 { return s.Log.GroupInserts }),
-	counterOf("hydra_log_flush_writes_total", "Write submissions issued by the log flusher.", func(s *sample) uint64 { return s.Log.FlushWrites }),
-	counterOf("hydra_log_flush_syncs_total", "Device syncs issued by the log flusher.", func(s *sample) uint64 { return s.Log.FlushSyncs }),
+	counterOf("hydra_log_flush_writes_total", "Write submissions issued by log flushes.", func(s *sample) uint64 { return s.Log.FlushWrites }),
+	counterOf("hydra_log_flush_syncs_total", "Device syncs issued by log flushes.", func(s *sample) uint64 { return s.Log.FlushSyncs }),
 	counterOf("hydra_wal_dev_writes_total", "Physical log-device write submissions.", func(s *sample) uint64 { return s.Log.Dev.Writes }),
 	counterOf("hydra_wal_dev_vec_writes_total", "Vectored log-device write calls.", func(s *sample) uint64 { return s.Log.Dev.VecWrites }),
 	counterOf("hydra_wal_dev_syncs_total", "Log-device sync calls.", func(s *sample) uint64 { return s.Log.Dev.Syncs }),

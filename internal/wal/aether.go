@@ -197,6 +197,5 @@ func (l *Log) insertConsolidated(rec []byte, c *obs.PhaseClock) (LSN, error) {
 	l.fr.complete(lsn, lsn+n)
 	l.ca.finish(s, groupSize, n)
 	l.noteInsert(n)
-	l.kickFlusher()
 	return LSN(lsn), nil
 }

@@ -40,11 +40,7 @@ func benchWrapFlush(b *testing.B, vectored bool) {
 		if _, err := l.insertSerial(rec, nil); err != nil {
 			b.Fatal(err)
 		}
-		select {
-		case <-l.kick:
-		default:
-		}
-		if err := l.flushOnce(); err != nil {
+		if err := l.flushOnce(false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -61,8 +62,7 @@ func TestFlushWrapAroundSingleSubmission(t *testing.T) {
 	if _, err := l.insertSerial(rec, nil); err != nil {
 		t.Fatal(err)
 	}
-	<-l.kick // consume: no flusher is running
-	if err := l.flushOnce(); err != nil {
+	if err := l.flushOnce(false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -118,8 +118,7 @@ func TestFlushWrapAroundSequentialFallback(t *testing.T) {
 	if _, err := l.insertSerial(rec, nil); err != nil {
 		t.Fatal(err)
 	}
-	<-l.kick
-	if err := l.flushOnce(); err != nil {
+	if err := l.flushOnce(false); err != nil {
 		t.Fatal(err)
 	}
 	if got := mem.Writes() - preWrites; got != 2 {
@@ -527,12 +526,35 @@ func TestSegmentedVectoredTruncateStress(t *testing.T) {
 		st.Flushes, st.Dev.VecWrites, st.Dev.SegSyncs, st.Dev.SegSyncSkips, base, len(recs))
 }
 
-// The flush daemon coalesces pending kicks: a burst of inserts while
-// a flush is in flight must not translate into one no-op flush per
-// kick afterwards.
-func TestFlusherCoalescesKicks(t *testing.T) {
-	dev := NewMem()
-	l, err := New(dev, Options{Kind: Serial, SyncOnFlush: true, FlushInterval: time.Hour})
+// A lone committer leads its own flush: with the background flusher
+// effectively asleep (hourly tick), Append + WaitFlushed returns
+// durable after exactly one flush, run on the committer's goroutine.
+func TestCommitterLeadsFlush(t *testing.T) {
+	l, err := New(NewMem(), Options{Kind: Consolidated, SyncOnFlush: true, FlushInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	lsn, err := l.Append(&Record{Type: RecCommit, TxnID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WaitFlushed(lsn); err != nil {
+		t.Fatal(err)
+	}
+	if l.FlushedLSN() <= lsn {
+		t.Fatalf("WaitFlushed returned before durability: flushed=%d lsn=%d", l.FlushedLSN(), lsn)
+	}
+	if st := l.StatsSnapshot(); st.Flushes != 1 || st.LeaderFlushes != 1 {
+		t.Fatalf("flushes = %d, leader flushes = %d, want 1 and 1", st.Flushes, st.LeaderFlushes)
+	}
+}
+
+// Inserts do not wake the flusher: 100 appends nobody waits on leave
+// the log unflushed (until the periodic tick), and the first committer
+// then carries all of them down in one flush.
+func TestInsertsDoNotWakeFlusher(t *testing.T) {
+	l, err := New(NewMem(), Options{Kind: Serial, SyncOnFlush: true, FlushInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,15 +567,171 @@ func TestFlusherCoalescesKicks(t *testing.T) {
 		}
 		last = lsn
 	}
+	if n := len(l.kick); n != 0 {
+		t.Fatalf("inserts left %d pending flusher kick(s)", n)
+	}
+	if st := l.StatsSnapshot(); st.Flushes != 0 {
+		t.Fatalf("flushes = %d after 100 inserts with no waiter, want 0", st.Flushes)
+	}
 	if err := l.WaitFlushed(last); err != nil {
 		t.Fatal(err)
 	}
 	st := l.StatsSnapshot()
-	if st.Flushes == 0 || st.Flushes > 100 {
-		t.Fatalf("flushes = %d for 100 inserts", st.Flushes)
+	if st.Flushes != 1 || st.FlushWrites != 1 {
+		t.Fatalf("flushes = %d, flush writes = %d for one commit, want 1 and 1", st.Flushes, st.FlushWrites)
 	}
-	// Every flush submission carried data: submissions == flushes.
-	if st.FlushWrites != st.Flushes {
-		t.Fatalf("flush writes %d != flushes %d", st.FlushWrites, st.Flushes)
+}
+
+// A failed leader flush takes the log's death path: the leader gets
+// the device error, the log is poisoned, and a committer parked behind
+// the flush and an inserter parked on a full ring both wake with the
+// error instead of hanging.
+func TestLeaderFlushFailurePoisonsLog(t *testing.T) {
+	bang := errors.New("disk on fire")
+	dev := &gatedDev{MemDevice: NewMem(), entered: make(chan struct{}), release: make(chan struct{})}
+	dev.FailAfter(1, bang)
+	// No background flusher: the only flush that can run is a leader's.
+	l := newStoppedLog(t, dev, Options{Kind: Decoupled, SyncOnFlush: true, BufferSize: EncodedSize(MaxPayload)})
+	first, err := l.Append(&Record{Type: RecCommit, TxnID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fill the ring so the next record of this size cannot fit.
+	payload := bytes.Repeat([]byte("x"), MaxPayload/4)
+	size := uint64(EncodedSize(len(payload)))
+	var last LSN
+	for l.next+size <= uint64(l.opts.BufferSize) {
+		if last, err = l.Append(&Record{Type: RecUpdate, TxnID: 2, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The leader's device write blocks at the gate, so the flush is in
+	// progress while a second committer and an inserter arrive.
+	leader := make(chan error, 1)
+	go func() { leader <- l.WaitFlushed(last) }()
+	<-dev.entered
+	waiter := make(chan error, 1)
+	go func() { waiter <- l.WaitFlushed(first) }()
+	for l.CommitWaiters() < 2 { // the leader and the parked committer
+		time.Sleep(time.Millisecond)
+	}
+	inserter := make(chan error, 1)
+	go func() {
+		_, err := l.Append(&Record{Type: RecUpdate, TxnID: 3, Payload: payload})
+		inserter <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the inserter park on ring space
+	close(dev.release)
+
+	for name, ch := range map[string]chan error{"leader": leader, "parked committer": waiter, "ring-full inserter": inserter} {
+		select {
+		case err := <-ch:
+			if !errors.Is(err, bang) {
+				t.Fatalf("%s returned %v, want %v", name, err, bang)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s still hung after the leader's flush failed", name)
+		}
+	}
+	if err := l.poisoned(); !errors.Is(err, bang) {
+		t.Fatalf("log not poisoned after leader flush failure: %v", err)
+	}
+	if st := l.StatsSnapshot(); st.Flushes != 0 || st.LeaderFlushes != 0 {
+		t.Fatalf("failed flush counted: flushes = %d, leader flushes = %d", st.Flushes, st.LeaderFlushes)
+	}
+	if n := l.CommitWaiters(); n != 0 {
+		t.Fatalf("%d commit waiter(s) left after log death", n)
+	}
+}
+
+// gatedDev holds its first vectored write until release is closed.
+// A second write panics on the closed entered channel: a poisoned log
+// must issue no more device IO.
+type gatedDev struct {
+	*MemDevice
+	entered, release chan struct{}
+}
+
+func (d *gatedDev) WriteVec(offs []int64, bufs [][]byte) (int, error) {
+	close(d.entered)
+	<-d.release
+	return d.MemDevice.WriteVec(offs, bufs)
+}
+
+// countingDev counts write submissions, so a test can assert none
+// happen after some point.
+type countingDev struct {
+	*MemDevice
+	writes atomic.Int64
+}
+
+func (d *countingDev) WriteAt(b []byte, off int64) (int, error) {
+	d.writes.Add(1)
+	return d.MemDevice.WriteAt(b, off)
+}
+
+func (d *countingDev) WriteVec(offs []int64, bufs [][]byte) (int, error) {
+	d.writes.Add(1)
+	return d.MemDevice.WriteVec(offs, bufs)
+}
+
+// Concurrent committers racing Close: a WaitFlushed that returns nil
+// has its record durable, none hangs, and no flush a committer leads
+// reaches the device after Close's final drain.
+func TestCommittersRaceClose(t *testing.T) {
+	for _, kind := range BufferKinds() {
+		kind := kind
+		t.Run(kind.String(), func(t *testing.T) {
+			for round := 0; round < 20; round++ {
+				dev := &countingDev{MemDevice: NewMem()}
+				l, err := New(dev, Options{Kind: kind, SyncOnFlush: true, BufferSize: EncodedSize(MaxPayload)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				const committers = 8
+				var wg sync.WaitGroup
+				for w := 0; w < committers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for i := 0; ; i++ {
+							lsn, err := l.Append(&Record{Type: RecCommit, TxnID: uint64(w)<<32 | uint64(i)})
+							if err != nil {
+								return // closed
+							}
+							if err := l.WaitFlushed(lsn); err != nil {
+								if !errors.Is(err, ErrClosed) {
+									t.Errorf("WaitFlushed: %v", err)
+								}
+								return
+							}
+							if l.FlushedLSN() <= lsn {
+								t.Errorf("WaitFlushed returned before durability: flushed=%d lsn=%d", l.FlushedLSN(), lsn)
+								return
+							}
+						}
+					}(w)
+				}
+				time.Sleep(time.Duration(round%5) * 200 * time.Microsecond)
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+				closedAt := dev.writes.Load()
+				done := make(chan struct{})
+				go func() { wg.Wait(); close(done) }()
+				select {
+				case <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatal("committers still hung after Close")
+				}
+				if n := dev.writes.Load(); n != closedAt {
+					t.Fatalf("%d device write(s) after Close returned", n-closedAt)
+				}
+				if t.Failed() {
+					return
+				}
+			}
+		})
 	}
 }

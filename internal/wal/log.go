@@ -52,8 +52,10 @@ type Options struct {
 	// BufferSize is the ring buffer capacity in bytes; rounded up to
 	// a power of two. Default 8 MiB.
 	BufferSize int
-	// FlushInterval is the longest a filled record may wait before a
-	// background flush. Default 1ms.
+	// FlushInterval is the background flusher's period. Inserts do not
+	// wake the flusher, so for records nobody waits on (SyncCommit-off
+	// engines, end records) it bounds how long a filled record stays
+	// volatile: the durability lag. Default 1ms.
 	FlushInterval time.Duration
 	// SyncOnFlush forces Device.Sync after each flush write (needed
 	// for durability; disable only in CPU-bound experiments).
@@ -88,8 +90,9 @@ type Stats struct {
 	FlushedBytes  uint64
 	MutexAcquires uint64 // allocation-mutex acquisitions (consolidation wins show here)
 	GroupInserts  uint64 // records that joined a consolidation group led by another
-	FlushWrites   uint64 // write submissions issued by the flusher (a vectored submission counts once)
-	FlushSyncs    uint64 // Device.Sync calls issued by the flusher
+	FlushWrites   uint64 // write submissions issued by flushes (a vectored submission counts once)
+	FlushSyncs    uint64 // Device.Sync calls issued by flushes
+	LeaderFlushes uint64 // flushes run on a committer's goroutine (of Flushes)
 
 	// Dev carries the device-side submission counters when the device
 	// reports them (FileDevice, MemDevice, SegmentedDevice): the
@@ -98,7 +101,10 @@ type Stats struct {
 }
 
 // Log is the log manager: an in-memory ring buffer filled by Insert
-// and drained to a Device by a background flusher, with group commit.
+// and drained to a Device, with group commit. A committer that finds
+// no flush in progress flushes the log itself (it leads); a background
+// flusher serves committers that park behind a running flush, ring-full
+// inserters and, on its periodic tick, records nobody waits on.
 type Log struct {
 	opts Options
 	dev  Device
@@ -125,7 +131,8 @@ type Log struct {
 	kick        chan struct{}
 	done        chan struct{}
 	closed      atomic.Bool
-	flushOnceMu sync.Mutex   // serializes flushOnce (flusher vs Close)
+	flushOnceMu sync.Mutex   // serializes flushes (leaders, flusher, Close)
+	leaders     atomic.Int64 // committers inside a flush they lead
 	flusherErr  atomic.Value // error from a failed flush, poisons the log
 
 	// Vectored-submission scratch, reused across flushes (guarded by
@@ -141,6 +148,7 @@ type Log struct {
 		flushes, flushedBytes   obs.Counter
 		mutexAcquires, groupIns obs.Counter
 		flushWrites, flushSyncs obs.Counter
+		leaderFlushes           obs.Counter
 	}
 }
 
@@ -274,7 +282,7 @@ func (l *Log) insert(rec []byte, c *obs.PhaseClock) (LSN, error) {
 	}
 }
 
-// poisoned returns the flusher's fatal error, if it died.
+// poisoned returns the log's fatal error, if a flush failed.
 func (l *Log) poisoned() error {
 	if err, ok := l.flusherErr.Load().(error); ok && err != nil {
 		return err
@@ -290,10 +298,10 @@ func (l *Log) poison(err error) {
 }
 
 // allocate reserves n bytes of log space, blocking while the ring is
-// full. Caller must hold l.mu. It fails instead of waiting when the
-// flusher has died or the log is closing: the durable frontier the
-// wait depends on will never advance again (the flusher broadcasts
-// l.space on its way out so blocked allocators observe the death).
+// full. Caller must hold l.mu. It fails instead of waiting when a
+// flush has failed or the log is closing: the durable frontier the
+// wait depends on will never advance again (die broadcasts l.space so
+// blocked allocators observe the death).
 //
 // When clocking (c != nil), a ring-full wait stamps *t0 if the caller
 // arrived with an uncontended stamp (0), extending the span the caller
@@ -338,7 +346,6 @@ func (l *Log) insertSerial(rec []byte, c *obs.PhaseClock) (LSN, error) {
 	l.mu.Unlock()
 	l.noteInsertWait(c, t0)
 	l.noteInsert(n)
-	l.kickFlusher()
 	return LSN(lsn), nil
 }
 
@@ -359,7 +366,6 @@ func (l *Log) insertDecoupled(rec []byte, c *obs.PhaseClock) (LSN, error) {
 	l.ring.copyIn(lsn, rec) // outside the mutex
 	l.fr.complete(lsn, lsn+n)
 	l.noteInsert(n)
-	l.kickFlusher()
 	return LSN(lsn), nil
 }
 
@@ -410,9 +416,6 @@ func (l *Log) kickFlusher() {
 // FlushedLSN returns the durable frontier: every record with
 // LSN+len <= FlushedLSN survives a crash.
 func (l *Log) FlushedLSN() LSN { return LSN(l.flushed.Load()) }
-
-// FilledLSN returns the contiguously-filled buffer frontier.
-func (l *Log) FilledLSN() LSN { return LSN(l.fr.Filled()) }
 
 // NextLSN returns the next LSN to be allocated (the current end of
 // the log stream).
@@ -481,12 +484,13 @@ var waiterChPool = sync.Pool{New: func() any { return make(chan error, 1) }}
 
 // WaitFlushed blocks until the log is durable up to and including the
 // record that starts at lsn (group commit). It returns early with an
-// error if the log is closed or the flusher failed.
+// error if the log is closed or a flush failed.
 func (l *Log) WaitFlushed(lsn LSN) error { return l.WaitFlushedC(lsn, nil) }
 
-// WaitFlushedC is WaitFlushed with a phase clock: time parked waiting
-// for the durable frontier is attributed to the flush-wait phase. The
-// already-durable fast path performs no clock reads at all.
+// WaitFlushedC is WaitFlushed with a phase clock: time spent waiting
+// for the durable frontier, parked or leading a flush, is attributed
+// to the flush-wait phase. The already-durable fast path performs no
+// clock reads at all.
 func (l *Log) WaitFlushedC(lsn LSN, c *obs.PhaseClock) error {
 	target := uint64(lsn) + 1 // any byte past the record start implies record scheduling order; callers pass end-1 semantics via RecordEnd
 	if l.flushed.Load() >= target {
@@ -510,9 +514,13 @@ func (l *Log) WaitFlushedC(lsn LSN, c *obs.PhaseClock) error {
 	return err
 }
 
-// waitFlushedSlow registers as a group-commit waiter and parks until
-// the durable frontier passes target or the log dies.
+// waitFlushedSlow leads a flush when it can; otherwise it registers
+// as a group-commit waiter and parks until the durable frontier passes
+// target or the log dies.
 func (l *Log) waitFlushedSlow(target uint64) error {
+	if led, err := l.leadFlush(target); led {
+		return err
+	}
 	l.kickFlusher()
 	ws := obs.LatchStart(obs.TierWALWait)
 	l.waitMu.Lock()
@@ -560,8 +568,8 @@ func (l *Log) wakeFlushed(upTo uint64) {
 	l.waitMu.Unlock()
 }
 
-// failWaiters wakes every registered waiter with err (flusher death
-// or close). As in wakeFlushed, the sends cannot block.
+// failWaiters wakes every registered waiter with err (log death or
+// close). As in wakeFlushed, the sends cannot block.
 //
 //hydra:vet:nonpropagating -- wakeup sends go to capacity-1 channels, one send per popped waiter
 func (l *Log) failWaiters(err error) {
@@ -575,14 +583,15 @@ func (l *Log) failWaiters(err error) {
 	l.waitMu.Unlock()
 }
 
-// CommitWaiters returns the number of committers currently parked on
-// the durable frontier. The stall flight recorder polls it together
-// with FlushedLSN: waiters present while the frontier stands still is
-// the signature of a stuck flusher.
+// CommitWaiters returns the number of committers currently waiting on
+// the durable frontier: parked, or leading a flush on their own
+// goroutine. The stall flight recorder polls it together with
+// FlushedLSN: waiters present while the frontier stands still is the
+// signature of a stuck flush.
 func (l *Log) CommitWaiters() int {
 	l.waitMu.Lock()
 	invariant.Acquired(invariant.TierWALWait, "wal.Log.waitMu")
-	n := len(l.waiters)
+	n := len(l.waiters) + int(l.leaders.Load())
 	invariant.Released(invariant.TierWALWait, "wal.Log.waitMu")
 	l.waitMu.Unlock()
 	return n
@@ -606,35 +615,24 @@ func (l *Log) Close() error {
 	if l.closed.Swap(true) {
 		return nil
 	}
-	flushErr := l.flushOnce() // final synchronous drain
-	if flushErr != nil {
+	if err := l.flushOnce(true); err != nil { // final synchronous drain
 		// The drain failed: records still in the ring will never become
-		// durable. Poison and wake any ring-full inserter that raced
-		// past the closed check, exactly as flusher death does.
-		l.poison(flushErr)
+		// durable.
+		l.poison(err)
 	}
 	// Wake allocators parked on ring space: either the drain freed the
 	// ring or the poisoning above tells them it never will.
-	l.mu.Lock()
-	invariant.Acquired(invariant.TierWALLog, "wal.Log.mu")
-	l.space.Broadcast()
-	invariant.Released(invariant.TierWALLog, "wal.Log.mu")
-	l.mu.Unlock()
+	l.wakeSpace()
 	close(l.done)
 	// Any waiter the final drain did not satisfy can never be: fail
-	// it with the flusher's error, or ErrClosed.
-	werr := flushErr
-	if err, ok := l.flusherErr.Load().(error); ok && err != nil {
-		werr = err
-	}
+	// it with the log's fatal error, or ErrClosed.
+	err := l.poisoned()
+	werr := err
 	if werr == nil {
 		werr = ErrClosed
 	}
 	l.failWaiters(werr)
-	if err, ok := l.flusherErr.Load().(error); ok && err != nil {
-		return err
-	}
-	return flushErr
+	return err
 }
 
 // StatsSnapshot returns a copy of the cumulative counters.
@@ -648,6 +646,7 @@ func (l *Log) StatsSnapshot() Stats {
 		GroupInserts:  l.stats.groupIns.Load(),
 		FlushWrites:   l.stats.flushWrites.Load(),
 		FlushSyncs:    l.stats.flushSyncs.Load(),
+		LeaderFlushes: l.stats.leaderFlushes.Load(),
 	}
 	if l.dsr != nil {
 		s.Dev = l.dsr.DeviceStats()
@@ -669,20 +668,66 @@ func (l *Log) flusher() {
 		// flush about to run covers whatever those kicks announced, so
 		// consuming them now spares redundant no-op flush cycles.
 		l.drainWakeups(ticker)
-		if err := l.flushOnce(); err != nil {
-			l.poison(err)
-			// Ring-full inserters parked in allocateLocked wait on a
-			// frontier that will never advance again; wake them so
-			// they observe the poisoning instead of hanging forever.
-			l.mu.Lock()
-			invariant.Acquired(invariant.TierWALLog, "wal.Log.mu")
-			l.space.Broadcast()
-			invariant.Released(invariant.TierWALLog, "wal.Log.mu")
-			l.mu.Unlock()
-			l.failWaiters(err)
+		if err := l.flushOnce(false); err != nil {
+			l.die(err)
 			return
 		}
 	}
+}
+
+// die is the log's death path after a failed flush, shared by the
+// flusher and a flush leader: poison the log, wake ring-full
+// inserters parked in allocateLocked (they wait on a frontier that
+// will never advance again, and must observe the poisoning instead of
+// hanging forever) and fail every parked committer.
+func (l *Log) die(err error) {
+	l.poison(err)
+	l.wakeSpace()
+	l.failWaiters(l.poisoned())
+}
+
+// wakeSpace wakes every inserter parked on ring space.
+func (l *Log) wakeSpace() {
+	l.mu.Lock()
+	invariant.Acquired(invariant.TierWALLog, "wal.Log.mu")
+	l.space.Broadcast()
+	invariant.Released(invariant.TierWALLog, "wal.Log.mu")
+	l.mu.Unlock()
+}
+
+// leadFlush makes the calling committer the flush leader when its
+// record is inside the filled frontier and no flush is in progress:
+// the committer writes the log itself instead of parking and handing
+// the flush to the flusher goroutine and back (two goroutine handoffs
+// per commit). It reports false, having done nothing, when the caller
+// must park instead; committers that park behind a leader's flush are
+// served together by the next flush (group commit).
+func (l *Log) leadFlush(target uint64) (bool, error) {
+	if l.fr.Filled() < target || !l.flushOnceMu.TryLock() {
+		return false, nil
+	}
+	invariant.Acquired(invariant.TierWALFlush, "wal.Log.flushOnceMu")
+	// Counted across the flush so a stall detector polling
+	// CommitWaiters sees a leader wedged in device IO.
+	l.leaders.Add(1)
+	// Once closed, Close's final drain has run or is waiting for this
+	// lock: no device IO past it; the park path reports the close. A
+	// flush that finished since the caller's check leaves nothing to do.
+	closed := l.closed.Load()
+	var err error
+	if !closed && l.flushed.Load() < target {
+		if err = l.flushLocked(); err == nil {
+			l.stats.leaderFlushes.Inc()
+		}
+	}
+	l.leaders.Add(-1)
+	invariant.Released(invariant.TierWALFlush, "wal.Log.flushOnceMu")
+	l.flushOnceMu.Unlock()
+	if err != nil {
+		l.die(err)
+		return true, l.poisoned()
+	}
+	return !closed, nil
 }
 
 // drainWakeups consumes pending kick and tick signals without
@@ -698,13 +743,30 @@ func (l *Log) drainWakeups(ticker *time.Ticker) {
 	}
 }
 
-// flushOnce writes [flushed, filled) to the device and advances the
-// durable frontier. With a VectorWriter device, both wrap-around ring
-// slices go down as one vectored submission; otherwise they are two
-// sequential writes.
-func (l *Log) flushOnce() error {
+// flushOnce runs one flush, waiting for any flush in progress. Once
+// the log is closed, Close's final drain is the last device IO: other
+// callers find nothing to do.
+func (l *Log) flushOnce(final bool) error {
 	l.flushOnceMu.Lock()
-	defer l.flushOnceMu.Unlock()
+	invariant.Acquired(invariant.TierWALFlush, "wal.Log.flushOnceMu")
+	var err error
+	if final || !l.closed.Load() {
+		err = l.flushLocked()
+	}
+	invariant.Released(invariant.TierWALFlush, "wal.Log.flushOnceMu")
+	l.flushOnceMu.Unlock()
+	return err
+}
+
+// flushLocked writes [flushed, filled) to the device and advances the
+// durable frontier. Caller must hold flushOnceMu. With a VectorWriter
+// device, both wrap-around ring slices go down as one vectored
+// submission; otherwise they are two sequential writes. A poisoned log
+// issues no more device IO.
+func (l *Log) flushLocked() error {
+	if err := l.poisoned(); err != nil {
+		return err
+	}
 	start := l.flushed.Load()
 	end := l.fr.Filled()
 	if end <= start {
@@ -745,11 +807,7 @@ func (l *Log) flushOnce() error {
 	l.stats.flushedBytes.Add(end - start)
 	// Wake space waiters, and exactly the commit waiters this flush
 	// satisfied.
-	l.mu.Lock()
-	invariant.Acquired(invariant.TierWALLog, "wal.Log.mu")
-	l.space.Broadcast()
-	invariant.Released(invariant.TierWALLog, "wal.Log.mu")
-	l.mu.Unlock()
+	l.wakeSpace()
 	l.wakeFlushed(end)
 	return nil
 }
