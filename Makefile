@@ -2,7 +2,7 @@ GO ?= go
 VET_SUMMARIES := .hydra-vet/summaries.json
 VET_BASELINE  := vet.baseline.json
 
-.PHONY: build test race vet lint vet-baseline vet-update-baseline stress stress-dora stress-wal bench bench-json bench-wal bench-lock bench-dora bench-smoke perfbench-check
+.PHONY: build test race vet lint vet-baseline vet-update-baseline stress stress-dora stress-wal stress-mvcc bench bench-json bench-wal bench-lock bench-dora bench-smoke perfbench-check
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,17 @@ stress-dora:
 # and ring-full inserters).
 stress-wal:
 	$(GO) test -race -count=20 -run 'TestCommitterLeadsFlush|TestInsertsDoNotWakeFlusher|TestWaitFlushedGroupCommit|TestCommittersRaceClose|TestLeaderFlushFailurePoisonsLog|TestFlusherDeathUnblocksRingFullInserters|TestFlusherErrorPoisonsLog' ./internal/wal/
+
+# stress-mvcc runs the snapshot and SI tests under the race detector:
+# first-committer-wins, the hot-key SI stress, snapshot expiry and the
+# transaction retry loop (including ExecSnapshot's expired-pin retry
+# and the SLI-agent deadlock victim) 20 times each, then the snapshot
+# visibility stress tests twice. These guard the retry loop's rule
+# that a handle Commit retired is never read again, and the snapshot
+# read and scan proofs of DESIGN.md section 5.
+stress-mvcc:
+	$(GO) test -race -count=20 -run '^(TestSIHotKeyStress|TestSIFirstCommitterWins|TestExecSIRetriesConflict|TestMaxSnapshotAge.*|TestExec.*Retr.*|TestExecDeadlockVictimRecovers)$$' ./internal/core/
+	$(GO) test -race -count=2 -run '^(TestStressSnapshot.*|TestStressLongSnapshotDoesNotStallWriters)$$' ./internal/core/
 
 vet:
 	$(GO) vet ./...

@@ -627,11 +627,12 @@ func TestSLIAgentTransactions(t *testing.T) {
 	tbl, _ := e.CreateTable("t")
 	agent := e.Locks().NewAgent()
 	for i := uint64(0); i < 20; i++ {
-		tx := e.BeginWithAgent(agent)
-		if err := tx.Insert(tbl, i, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
+		if err := e.ExecWithAgent(agent, func(tx *Txn) error {
+			if tx.agent != agent {
+				return errors.New("transaction does not run through the agent")
+			}
+			return tx.Insert(tbl, i, []byte("v"))
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,7 +16,7 @@ func TestBackoffDelayCappedWindow(t *testing.T) {
 			window = retryCap
 		}
 		for i := 0; i < 50; i++ {
-			d := BackoffDelay(attempt)
+			d := backoffDelay(attempt)
 			if d < 0 || d >= window {
 				t.Fatalf("attempt %d: delay %v outside [0, %v)", attempt, d, window)
 			}
@@ -23,7 +24,7 @@ func TestBackoffDelayCappedWindow(t *testing.T) {
 	}
 	// The cap must actually bind for large attempts (no overflow into
 	// negative shifts).
-	if d := BackoffDelay(63); d < 0 || d >= retryCap {
+	if d := backoffDelay(63); d < 0 || d >= retryCap {
 		t.Fatalf("attempt 63: delay %v outside [0, %v)", d, retryCap)
 	}
 }
@@ -60,8 +61,19 @@ func TestExecRetriesWithBackoff(t *testing.T) {
 }
 
 // A genuine two-transaction deadlock resolves through retry: the
-// victim backs off and re-runs rather than re-colliding forever.
+// victim backs off and re-runs rather than re-colliding forever, both
+// under Exec and with each worker's locks routed through an SLI agent.
 func TestExecDeadlockVictimRecovers(t *testing.T) {
+	for _, withAgent := range []bool{false, true} {
+		name := "Exec"
+		if withAgent {
+			name = "ExecWithAgent"
+		}
+		t.Run(name, func(t *testing.T) { testDeadlockVictimRecovers(t, withAgent) })
+	}
+}
+
+func testDeadlockVictimRecovers(t *testing.T, withAgent bool) {
 	e := memEngine(t, Scalable())
 	tbl, _ := e.CreateTable("t")
 	if err := e.Exec(func(tx *Txn) error {
@@ -72,9 +84,9 @@ func TestExecDeadlockVictimRecovers(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var slept int
+	var slept atomic.Int32
 	prev := retrySleep
-	retrySleep = func(int) { slept++; time.Sleep(time.Millisecond) }
+	retrySleep = func(int) { slept.Add(1); time.Sleep(time.Millisecond) }
 	defer func() { retrySleep = prev }()
 
 	// Two transactions lock {1,2} in opposite orders; each holds its
@@ -84,8 +96,14 @@ func TestExecDeadlockVictimRecovers(t *testing.T) {
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func(keys [2]uint64) {
+			exec := e.Exec
+			if withAgent {
+				agent := e.Locks().NewAgent()
+				defer agent.Close()
+				exec = func(fn func(*Txn) error) error { return e.ExecWithAgent(agent, fn) }
+			}
 			first := true
-			errs <- e.Exec(func(tx *Txn) error {
+			errs <- exec(func(tx *Txn) error {
 				if _, err := tx.ReadForUpdate(tbl, keys[0]); err != nil {
 					return err
 				}
@@ -105,7 +123,7 @@ func TestExecDeadlockVictimRecovers(t *testing.T) {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
-	if slept == 0 {
+	if slept.Load() == 0 {
 		t.Fatal("no backoff sleep recorded; victim retried without backing off")
 	}
 }

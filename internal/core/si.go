@@ -26,8 +26,9 @@
 //     nothing was logged, so the abort releases nothing into the
 //     chains). The snapshot's own pin guarantees a conflicting node
 //     cannot have been GC'd (the watermark never passes the pin).
-//  5. Apply: the buffered writes run through the ordinary write
-//     methods (siApply flags the re-entry), which log, install
+//  5. Apply: the buffered writes run through the locked write bodies
+//     (lockedInsert/lockedUpdate/lockedDelete, the same ones Insert,
+//     Update and Delete use on the locked modes), which log, install
 //     version nodes, and maintain indexes exactly like a locked
 //     writer. The commit record then publishes stamp + floor under
 //     publishMu, so read-only snapshots and locked writers
@@ -40,7 +41,6 @@ import (
 	"sort"
 
 	"hydra/internal/lock"
-	"hydra/internal/obs"
 )
 
 // siWrite kinds: the net effect a buffered key carries.
@@ -64,21 +64,7 @@ type siWrite struct {
 // aborts with ErrWriteConflict if any written key was committed by
 // another transaction after this one's snapshot. Requires Config.MVCC.
 func (e *Engine) BeginSnapshotRW() (*Txn, error) {
-	if !e.cfg.MVCC {
-		return nil, ErrMVCCDisabled
-	}
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	t := e.Begin()
-	t.snapRW = true
-	t.path = obs.PathSIWrite
-	t.snap = e.mvcc.pin(t.id)
-	if t.writeSet == nil {
-		t.writeSet = make(map[verKey]siWrite)
-	}
-	e.mvcc.siBegins.Inc()
-	return t, nil
+	return e.begin(modeSI, nil)
 }
 
 // ExecSI runs fn in a snapshot-isolation writer transaction,
@@ -87,48 +73,26 @@ func (e *Engine) BeginSnapshotRW() (*Txn, error) {
 // apply) are retried on a fresh snapshot with the shared capped
 // backoff.
 func (e *Engine) ExecSI(fn func(tx *Txn) error) error {
-	for attempt := 0; ; attempt++ {
-		t, err := e.BeginSnapshotRW()
-		if err != nil {
-			return err
-		}
-		err = fn(t)
-		if err == nil {
-			if err = t.Commit(); err == nil {
-				return nil
-			}
-			// Commit's conflict and expiry exits retire the handle, and
-			// the pool may already have handed it to another
-			// transaction: it must not be read again. Every other
-			// commit error leaves it active.
-			if errors.Is(err, ErrWriteConflict) || errors.Is(err, ErrSnapshotExpired) {
-				t = nil
-			}
-		}
-		if t != nil && t.state == txnActive {
-			if aerr := t.Abort(); aerr != nil {
-				return fmt.Errorf("core: abort after %v: %w", err, aerr)
-			}
-		}
-		if retryableTxnErr(err) && attempt < maxTxnRetries {
-			retrySleep(attempt)
-			continue
-		}
-		return err
-	}
+	return e.exec(modeSI, nil, fn)
 }
 
-// siRead is Read/ReadForUpdate on the SI path: the transaction's own
-// buffered write wins, otherwise the pinned snapshot answers.
+// siRead is Read on both pinned modes (and ReadForUpdate on SI): the
+// transaction's own buffered write wins, otherwise the pinned snapshot
+// answers. A read-only snapshot has an empty write set and goes
+// straight to snapshotRead.
 func (t *Txn) siRead(tbl *Table, key uint64) ([]byte, error) {
 	if t.snapExpired.Load() {
+		// The MaxSnapshotAge expirer dropped this transaction's pin; its
+		// chains may already be swept, so reads must stop.
 		return nil, ErrSnapshotExpired
 	}
-	if w, ok := t.writeSet[verKey{table: tbl.ID, key: key}]; ok {
-		if w.kind == siWriteDelete {
-			return nil, notFound(tbl, key)
+	if len(t.writeSet) > 0 {
+		if w, ok := t.writeSet[verKey{table: tbl.ID, key: key}]; ok {
+			if w.kind == siWriteDelete {
+				return nil, notFound(tbl, key)
+			}
+			return append([]byte(nil), w.value...), nil
 		}
-		return append([]byte(nil), w.value...), nil
 	}
 	return t.snapshotRead(tbl, key)
 }
@@ -136,6 +100,9 @@ func (t *Txn) siRead(tbl *Table, key uint64) ([]byte, error) {
 // siStage records w as key's buffered effect, tracking first-touch
 // order in siKeys (the scan overlay iterates it; commit sorts it).
 func (t *Txn) siStage(k verKey, w siWrite) {
+	if t.writeSet == nil {
+		t.writeSet = make(map[verKey]siWrite) // kept across pooled reuse
+	}
 	if _, ok := t.writeSet[k]; !ok {
 		t.siKeys = append(t.siKeys, k)
 	}
@@ -238,12 +205,16 @@ func (t *Txn) siDelete(tbl *Table, key uint64) error {
 	return nil
 }
 
-// siScan is Scan on the SI path: the snapshot scan merged, in key
-// order, with the transaction's buffered writes — puts override or
-// extend the snapshot rows, deletes hide them.
+// siScan is Scan on both pinned modes: the snapshot scan merged, in
+// key order, with the transaction's buffered writes — puts override or
+// extend the snapshot rows, deletes hide them. A read-only snapshot
+// has no buffered writes and goes straight to snapshotScan.
 func (t *Txn) siScan(tbl *Table, lo, hi uint64, fn func(key uint64, value []byte) bool) error {
 	if t.snapExpired.Load() {
 		return ErrSnapshotExpired
+	}
+	if len(t.siKeys) == 0 {
+		return t.snapshotScan(tbl, lo, hi, fn)
 	}
 	type overlay struct {
 		key uint64
@@ -299,20 +270,6 @@ func (t *Txn) siScan(tbl *Table, lo, hi uint64, fn func(key uint64, value []byte
 	return nil
 }
 
-// abortSIUnlogged retires an SI transaction that has logged nothing —
-// the conflict and expiry exits out of commitSI. Locks release, the
-// handle retires (dropping the snapshot pin), and err surfaces as the
-// retryable abort cause. Nothing was logged, so nothing enters the
-// version chains.
-func (t *Txn) abortSIUnlogged(err error) error {
-	e := t.e
-	t.releaseLocks(true)
-	obs.TraceEvent(obs.EvAbort, t.id, 0, 0)
-	t.finish(txnAborted)
-	e.aborts.Inc()
-	return err
-}
-
 // commitSI validates and applies a snapshot-isolation writer.
 // See the package comment at the top of this file for the protocol.
 func (t *Txn) commitSI() error {
@@ -320,12 +277,17 @@ func (t *Txn) commitSI() error {
 		return err
 	}
 	e := t.e
+	// The conflict and expiry exits retire the handle unlogged (locks
+	// and pin released, nothing entered the chains) and surface the
+	// retryable abort cause. retire cannot fail there: checkActive just
+	// passed.
 	if t.snapExpired.Load() {
-		return t.abortSIUnlogged(ErrSnapshotExpired)
+		_ = t.retire(txnAborted, 0, true)
+		return ErrSnapshotExpired
 	}
 	if len(t.writeSet) == 0 {
 		// Read-only SI transaction: nothing to validate or log.
-		return t.finishSnapshot(txnCommitted)
+		return t.retire(txnCommitted, 0, true)
 	}
 	keys := t.siKeys
 	sort.Slice(keys, func(i, j int) bool {
@@ -351,14 +313,13 @@ func (t *Txn) commitSI() error {
 	for _, k := range keys {
 		if e.mvcc.hasConflict(k.table, k.key, t.snap, &t.clock) {
 			e.mvcc.siConflicts.Inc()
-			return t.abortSIUnlogged(ErrWriteConflict)
+			_ = t.retire(txnAborted, 0, true)
+			return ErrWriteConflict
 		}
 	}
-	// Apply through the ordinary write methods (siApply routes past
-	// the buffering branch): validation passed under the X locks, so
-	// for every written key the heap state equals the snapshot state
-	// and the staged existence decisions hold.
-	t.siApply = true
+	// Apply through the locked write bodies: validation passed under
+	// the X locks, so for every written key the heap state equals the
+	// snapshot state and the staged existence decisions hold.
 	for _, k := range keys {
 		w := t.writeSet[k]
 		var err error
@@ -366,20 +327,18 @@ func (t *Txn) commitSI() error {
 		case w.kind == siWriteDelete && !w.base:
 			continue // insert-then-delete nets out
 		case w.kind == siWriteDelete:
-			err = t.Delete(w.tbl, k.key)
+			err = t.lockedDelete(w.tbl, k.key)
 		case w.base:
-			err = t.Update(w.tbl, k.key, w.value)
+			err = t.lockedUpdate(w.tbl, k.key, w.value)
 		default:
-			err = t.Insert(w.tbl, k.key, w.value)
+			err = t.lockedInsert(w.tbl, k.key, w.value)
 		}
 		if err != nil {
 			// Partially applied: the transaction is logged and active;
 			// the caller's Abort runs the normal undo path.
-			t.siApply = false
 			return err
 		}
 	}
-	t.siApply = false
 	if err := t.commitLogged(); err != nil {
 		return err
 	}
@@ -413,7 +372,7 @@ func (e *Engine) expireStaleSnapshots() int {
 	}
 	e.activeMu.Lock()
 	for _, id := range expired {
-		if t := e.active[id]; t != nil && (t.snapRO || t.snapRW) {
+		if t := e.active[id]; t != nil && t.mode.pinned() {
 			t.snapExpired.Store(true)
 		}
 	}

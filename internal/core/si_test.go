@@ -462,6 +462,50 @@ func TestMaxSnapshotAgeExpiresPin(t *testing.T) {
 	}
 }
 
+// ExecSnapshot re-runs a body whose pin the MaxSnapshotAge expirer
+// dropped on a fresh snapshot, and the retry succeeds.
+func TestExecSnapshotRetriesExpiredPin(t *testing.T) {
+	cfg := mvccConfig()
+	cfg.MaxSnapshotAge = time.Nanosecond
+	e := memEngine(t, cfg)
+	tbl, _ := e.CreateTable("t")
+	if err := e.Exec(func(tx *Txn) error { return tx.Insert(tbl, 1, []byte("v0")) }); err != nil {
+		t.Fatal(err)
+	}
+	before := e.StatsSnapshot()
+	attempts := 0
+	var got []byte
+	if err := e.ExecSnapshot(func(tx *Txn) error {
+		attempts++
+		if attempts == 1 {
+			if n := e.expireStaleSnapshots(); n != 1 {
+				return fmt.Errorf("expired %d pins, want 1", n)
+			}
+		}
+		v, err := tx.Read(tbl, 1)
+		got = v
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if attempts != 2 {
+		t.Fatalf("attempts = %d, want 2", attempts)
+	}
+	if string(got) != "v0" {
+		t.Fatalf("key 1 = %q, want v0", got)
+	}
+	after := e.StatsSnapshot()
+	if d := after.Mvcc.SnapshotBegins - before.Mvcc.SnapshotBegins; d != 2 {
+		t.Fatalf("snapshot begins = %d, want 2", d)
+	}
+	if after.Aborts-before.Aborts != 1 || after.Commits-before.Commits != 1 {
+		t.Fatalf("aborts/commits = %d/%d, want 1/1", after.Aborts-before.Aborts, after.Commits-before.Commits)
+	}
+	if after.Mvcc.SnapshotsExpired != 1 || after.Mvcc.ActiveSnapshots != 0 {
+		t.Fatalf("mvcc stats = %+v", after.Mvcc)
+	}
+}
+
 // An expired SI writer fails at commit with the retryable error and
 // releases everything.
 func TestMaxSnapshotAgeExpiresSIWriter(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"hydra/internal/btree"
 	"hydra/internal/heap"
 	"hydra/internal/invariant"
-	"hydra/internal/obs"
 	"hydra/internal/wal"
 )
 
@@ -22,20 +21,7 @@ import (
 // operations (and ReadForUpdate) fail with ErrReadOnlyTxn. Requires
 // Config.MVCC.
 func (e *Engine) BeginSnapshot() (*Txn, error) {
-	if !e.cfg.MVCC {
-		return nil, ErrMVCCDisabled
-	}
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	t := e.Begin()
-	t.snapRO = true
-	t.path = obs.PathROSnap
-	t.snap = e.mvcc.pin(t.id)
-	// Counted here, not in pin: SI writers pin too but count under
-	// siBegins.
-	e.mvcc.snapBegins.Inc()
-	return t, nil
+	return e.begin(modeSnapshot, nil)
 }
 
 // MVCCEnabled reports whether the engine was opened with Config.MVCC
@@ -43,29 +29,12 @@ func (e *Engine) BeginSnapshot() (*Txn, error) {
 func (e *Engine) MVCCEnabled() bool { return e.cfg.MVCC }
 
 // ExecSnapshot runs fn in a read-only snapshot transaction: the
-// lock-free analogue of Exec for pure reads. There is no retry loop —
-// snapshot transactions cannot deadlock or time out.
+// lock-free analogue of Exec for pure reads. Snapshot transactions
+// cannot deadlock or time out; the one retryable error they can meet
+// is ErrSnapshotExpired (the MaxSnapshotAge expirer dropped the pin),
+// which is retried on a fresh snapshot like ExecSI does.
 func (e *Engine) ExecSnapshot(fn func(tx *Txn) error) error {
-	t, err := e.BeginSnapshot()
-	if err != nil {
-		return err
-	}
-	if err := fn(t); err != nil {
-		// Abort on a snapshot transaction only fails on reuse of a
-		// finished handle; join rather than drop it so a pin leak could
-		// never pass silently.
-		return errors.Join(err, t.Abort())
-	}
-	return t.Commit()
-}
-
-// SnapshotLSN returns the snapshot a snapshot transaction (read-only
-// or SI writer) pinned at begin, or 0 for locked transactions.
-func (t *Txn) SnapshotLSN() uint64 {
-	if !t.snapRO && !t.snapRW {
-		return 0
-	}
-	return t.snap
+	return e.exec(modeSnapshot, nil, fn)
 }
 
 // notFound renders the canonical missing-key error.
@@ -94,12 +63,10 @@ func indexReadErr(err error, tbl *Table, key uint64) error {
 // latch was granted — and the node outlives the writer (commit AND
 // abort stamp it in place rather than unlinking), so the check cannot
 // miss it.
+//
+// The caller has checked snapExpired: an expired pin's chains may
+// already be swept.
 func (t *Txn) snapshotRead(tbl *Table, key uint64) ([]byte, error) {
-	if t.snapExpired.Load() {
-		// The MaxSnapshotAge expirer dropped this transaction's pin;
-		// its chains may already be swept, so reads must stop.
-		return nil, ErrSnapshotExpired
-	}
 	e := t.e
 	e.mvcc.snapReads.Inc()
 	// Bypass accounting: the locked path would have taken IS(table) +
@@ -176,11 +143,9 @@ var snapScanChunk = 512
 // collect does not override them: any write that changed a walked row
 // after its read — including a now-rolled-back abort, whose nodes are
 // stamped in place rather than unlinked — still blocks the chain at
-// collect time.
+// collect time. As for snapshotRead, the caller has checked
+// snapExpired.
 func (t *Txn) snapshotScan(tbl *Table, lo, hi uint64, fn func(key uint64, value []byte) bool) error {
-	if t.snapExpired.Load() {
-		return ErrSnapshotExpired
-	}
 	e := t.e
 	e.mvcc.snapReads.Inc()
 	e.locks.NoteBypass(1) // the locked path's table S lock
@@ -290,11 +255,20 @@ func (e *Engine) appendPublished(t *Txn, kind wal.RecType) (wal.LSN, error) {
 	return lsn, err
 }
 
-// appendCommitRecord appends t's commit record; a transaction that
-// installed versions publishes it through the version table.
-func (e *Engine) appendCommitRecord(t *Txn) (wal.LSN, error) {
+// appendCommit appends t's commit record — published through the
+// version table when the transaction installed versions — and makes it
+// the chain tail.
+func (t *Txn) appendCommit() (wal.LSN, error) {
+	var lsn wal.LSN
+	var err error
 	if t.verTxn == nil {
-		return e.log.AppendFieldsC(wal.RecCommit, t.id, t.lastLSN, 0, 0, nil, &t.clock)
+		lsn, err = t.e.log.AppendFieldsC(wal.RecCommit, t.id, t.lastLSN, 0, 0, nil, &t.clock)
+	} else {
+		lsn, err = t.e.appendPublished(t, wal.RecCommit)
 	}
-	return e.appendPublished(t, wal.RecCommit)
+	if err != nil {
+		return wal.NilLSN, err
+	}
+	t.setLastLSN(lsn) // under mu: checkpoint ATT snapshots read it
+	return lsn, nil
 }

@@ -9,6 +9,10 @@ import (
 	"hydra/internal/rng"
 )
 
+// errVoluntaryAbort is a stress body's request to abort a transaction
+// that met no failure.
+var errVoluntaryAbort = errors.New("voluntary abort")
+
 // TestConcurrentCommitAbortStress hammers the whole commit pipeline —
 // Begin, logging, group-commit waits, lock ReleaseAll, SLI inheritance
 // and lock escalation — from many goroutines at once. It exists to be
@@ -70,63 +74,81 @@ func TestConcurrentCommitAbortStress(t *testing.T) {
 			}
 			base := uint64(w+1) << 32
 			for i := 0; i < iters; i++ {
-				var tx *Txn
-				if agent != nil {
-					tx = e.BeginWithAgent(agent)
-				} else {
-					tx = e.Begin()
-				}
-				failed := false
-				step := func(err error) {
-					if err == nil || failed {
-						return
-					}
-					if !expected(err) {
-						t.Errorf("worker %d iter %d: %v", w, i, err)
-					}
-					failed = true
-				}
-				// A burst of private-range writes; crossing the
-				// escalation threshold trades them for a table lock.
-				n := 1 + r.Intn(12)
-				for j := 0; j < n && !failed; j++ {
-					k := base + uint64(r.Intn(64))
-					switch r.Intn(3) {
-					case 0:
-						step(tx.Insert(tbl, k, []byte("v")))
-					case 1:
-						err := tx.Update(tbl, k, []byte("v2"))
-						if errors.Is(err, ErrNotFound) {
-							err = nil
+				// work runs one transaction's operations and returns the
+				// first failure: a contention outcome, or a bug it has
+				// already reported.
+				work := func(tx *Txn) error {
+					var failed error
+					step := func(err error) {
+						if err == nil || failed != nil {
+							return
 						}
-						step(err)
-					default:
-						err := tx.Delete(tbl, k)
-						if errors.Is(err, ErrNotFound) {
-							err = nil
+						if !expected(err) {
+							t.Errorf("worker %d iter %d: %v", w, i, err)
 						}
-						step(err)
+						failed = err
 					}
-				}
-				// Touch a contended row so transactions actually
-				// conflict and the deadlock detector gets traffic.
-				if !failed && r.Bool(0.5) {
-					k := 1 + uint64(r.Intn(hotKeys))
-					if r.Bool(0.5) {
-						_, err := tx.Read(hot, k)
-						step(err)
-					} else {
-						step(tx.Update(hot, k, []byte("touched")))
+					// A burst of private-range writes; crossing the
+					// escalation threshold trades them for a table lock.
+					n := 1 + r.Intn(12)
+					for j := 0; j < n && failed == nil; j++ {
+						k := base + uint64(r.Intn(64))
+						switch r.Intn(3) {
+						case 0:
+							step(tx.Insert(tbl, k, []byte("v")))
+						case 1:
+							err := tx.Update(tbl, k, []byte("v2"))
+							if errors.Is(err, ErrNotFound) {
+								err = nil
+							}
+							step(err)
+						default:
+							err := tx.Delete(tbl, k)
+							if errors.Is(err, ErrNotFound) {
+								err = nil
+							}
+							step(err)
+						}
 					}
+					// Touch a contended row so transactions actually
+					// conflict and the deadlock detector gets traffic.
+					if failed == nil && r.Bool(0.5) {
+						k := 1 + uint64(r.Intn(hotKeys))
+						if r.Bool(0.5) {
+							_, err := tx.Read(hot, k)
+							step(err)
+						} else {
+							step(tx.Update(hot, k, []byte("touched")))
+						}
+					}
+					return failed
 				}
-				if failed || r.Bool(0.25) {
-					if err := tx.Abort(); err != nil {
-						t.Errorf("worker %d iter %d: abort: %v", w, i, err)
+				if agent == nil {
+					tx := e.Begin()
+					if work(tx) != nil || r.Bool(0.25) {
+						if err := tx.Abort(); err != nil {
+							t.Errorf("worker %d iter %d: abort: %v", w, i, err)
+						}
+						continue
+					}
+					if err := tx.Commit(); err != nil && !expected(err) {
+						t.Errorf("worker %d iter %d: commit: %v", w, i, err)
 					}
 					continue
 				}
-				if err := tx.Commit(); err != nil && !expected(err) {
-					t.Errorf("worker %d iter %d: commit: %v", w, i, err)
+				// The agent half runs through ExecWithAgent: a failed body
+				// aborts, and a lock victim re-runs in the retry loop.
+				err := e.ExecWithAgent(agent, func(tx *Txn) error {
+					if err := work(tx); err != nil {
+						return err
+					}
+					if r.Bool(0.25) {
+						return errVoluntaryAbort
+					}
+					return nil
+				})
+				if err != nil && !errors.Is(err, errVoluntaryAbort) && !expected(err) {
+					t.Errorf("worker %d iter %d: agent txn: %v", w, i, err)
 				}
 			}
 		}(w)

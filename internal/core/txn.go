@@ -31,6 +31,21 @@ const (
 	txnAborted
 )
 
+// txnMode is the concurrency-control mode a transaction runs under.
+// The begin path fixes it once; every public method dispatches on it at
+// its top.
+type txnMode uint8
+
+const (
+	modeLocked   txnMode = iota // 2PL through the lock manager (directly or via an SLI agent)
+	modeNoLock                  // DORA: partition ownership replaces locking
+	modeSnapshot                // read-only over a pinned MVCC snapshot
+	modeSI                      // snapshot-isolation writer: snapshot reads, buffered writes
+)
+
+// pinned reports whether the mode reads from an MVCC snapshot pin.
+func (m txnMode) pinned() bool { return m >= modeSnapshot }
+
 // Txn is a transaction handle. A Txn is normally confined to one
 // goroutine; transactions started with BeginNoLock may have their
 // operations executed by multiple DORA executors, so the log chain
@@ -42,37 +57,31 @@ const (
 // never be used after Commit or Abort returns — it may already be
 // another transaction.
 type Txn struct {
-	e      *Engine
-	id     uint64
-	state  txnState
-	agent  *lock.Agent  // non-nil when SLI is active for this worker
-	noLock bool         // DORA: partition ownership replaces locking
-	locks  *lock.Holder // caller-owned lock set (see lock.Holder)
+	e     *Engine
+	id    uint64
+	state txnState
+	mode  txnMode      // written only by Engine.begin
+	agent *lock.Agent  // non-nil when SLI is active for this worker
+	locks *lock.Holder // caller-owned lock set (see lock.Holder)
 
 	// path tags which execution path runs the transaction (DORA sets
 	// it after Begin; conventional transactions keep PathConv).
 	path obs.TxnPath
 
-	// Snapshot-read state (see snapshot.go). snapRO marks a read-only
-	// snapshot transaction pinned to snap; verTxn/verNodes track the
-	// versions a writing transaction installed — commit and abort both
-	// stamp them (through the shared verTxn), and abort additionally
-	// prunes the touched chains once the stamp is published.
+	// Snapshot state (see snapshot.go). snap is the pinned snapshot the
+	// pinned modes read at; verTxn/verNodes track the versions a writing
+	// transaction installed — commit and abort both stamp them (through
+	// the shared verTxn), and abort additionally prunes the touched
+	// chains once the stamp is published.
 	snap     uint64
-	snapRO   bool
 	verTxn   *verTxn
 	verNodes []*verNode
-	// Snapshot-isolation writer state (see si.go). snapRW marks an SI
-	// writer: reads resolve against snap like snapRO, writes buffer
-	// into writeSet and reach the heap only inside Commit, after
-	// first-committer-wins validation. siApply is set for that apply
-	// window so the ordinary write methods run their real bodies
-	// instead of re-buffering. snapExpired is flipped by the
+	// Snapshot-isolation writer state (see si.go): writes buffer into
+	// writeSet and reach the heap only inside Commit, after
+	// first-committer-wins validation. snapExpired is flipped by the
 	// MaxSnapshotAge expirer (under the engine's activeMu, so it never
 	// lands on a recycled handle); the transaction observes it on its
 	// next read or commit as ErrSnapshotExpired.
-	snapRW      bool
-	siApply     bool
 	writeSet    map[verKey]siWrite
 	siKeys      []verKey // insertion-ordered writeSet keys (scan overlay, commit sort scratch)
 	snapExpired atomic.Bool
@@ -143,8 +152,25 @@ func (t *Txn) arenaRowRecord(key uint64, value []byte) []byte {
 	return rec
 }
 
-// Begin starts a transaction.
+// Begin starts a transaction under the lock manager.
 func (e *Engine) Begin() *Txn {
+	t, _ := e.begin(modeLocked, nil) // only the pinned modes can fail
+	return t
+}
+
+// begin is the one begin path: it draws a pooled handle, fixes its
+// mode and agent, registers it, and for the pinned modes takes the
+// snapshot pin. Only the pinned modes can fail (MVCC off, engine
+// closed).
+func (e *Engine) begin(mode txnMode, a *lock.Agent) (*Txn, error) {
+	if mode.pinned() {
+		if !e.cfg.MVCC {
+			return nil, ErrMVCCDisabled
+		}
+		if e.closed.Load() {
+			return nil, ErrClosed
+		}
+	}
 	id := e.txnSeq.Add(1)
 	var t *Txn
 	if v := e.txnPool.Get(); v != nil {
@@ -159,15 +185,12 @@ func (e *Engine) Begin() *Txn {
 	invariant.PoolGot("core.Begin", t)
 	t.id = id
 	t.state = txnActive
-	t.agent = nil
-	t.noLock = false
+	t.mode = mode
+	t.agent = a
 	t.lastLSN = wal.NilLSN
 	t.firstLSN = wal.NilLSN
 	t.logged = false
 	t.snap = 0
-	t.snapRO = false
-	t.snapRW = false
-	t.siApply = false
 	t.snapExpired.Store(false)
 	t.verTxn = nil
 	// No clock Reset here: finish's fold drains every lap to zero, so a
@@ -178,7 +201,19 @@ func (e *Engine) Begin() *Txn {
 	e.active[id] = t
 	e.activeMu.Unlock()
 	obs.TraceEvent(obs.EvBegin, id, 0, 0)
-	return t
+	// The pin follows registration, so the MaxSnapshotAge expirer that
+	// finds the pin also finds the handle to flag.
+	switch mode {
+	case modeSnapshot:
+		t.path = obs.PathROSnap
+		t.snap = e.mvcc.pin(t.id)
+		e.mvcc.snapBegins.Inc()
+	case modeSI:
+		t.path = obs.PathSIWrite
+		t.snap = e.mvcc.pin(t.id)
+		e.mvcc.siBegins.Inc()
+	}
+	return t, nil
 }
 
 // finish retires the transaction from the active registry and
@@ -198,7 +233,7 @@ func (t *Txn) finish(state txnState) {
 	var phases [obs.NumPhases]int64
 	obs.TxnPhases.Fold(t.path, oc, &t.clock, total, &phases)
 	obs.SlowTxns.Offer(t.id, t.path, oc, end, total, &phases)
-	if t.snapRO || t.snapRW {
+	if t.mode.pinned() {
 		// Unpin the snapshot; if it was the oldest, the watermark
 		// advances and release sweeps newly dead versions. A pin the
 		// MaxSnapshotAge expirer already removed makes this a no-op.
@@ -240,20 +275,11 @@ func (t *Txn) finish(state txnState) {
 	e.txnPool.Put(t)
 }
 
-// BeginWithAgent starts a transaction whose lock acquisitions go
-// through an SLI agent (one agent per worker goroutine).
-func (e *Engine) BeginWithAgent(a *lock.Agent) *Txn {
-	t := e.Begin()
-	t.agent = a
-	return t
-}
-
 // BeginNoLock starts a transaction that skips the lock manager
 // entirely. Callers (the DORA layer) must guarantee isolation by
 // construction — each datum is accessed only by its owning executor.
 func (e *Engine) BeginNoLock() *Txn {
-	t := e.Begin()
-	t.noLock = true
+	t, _ := e.begin(modeNoLock, nil)
 	return t
 }
 
@@ -272,7 +298,7 @@ func (t *Txn) SetPath(p obs.TxnPath) { t.path = p }
 func (t *Txn) Clock() *obs.PhaseClock { return &t.clock }
 
 func (t *Txn) acquire(name lock.Name, mode lock.Mode) error {
-	if t.noLock {
+	if t.mode == modeNoLock {
 		return nil
 	}
 	if t.agent != nil {
@@ -346,27 +372,10 @@ func (t *Txn) Read(tbl *Table, key uint64) ([]byte, error) {
 	if err := t.checkActive(); err != nil {
 		return nil, err
 	}
-	if t.snapRO {
-		return t.snapshotRead(tbl, key)
-	}
-	if t.snapRW {
+	if t.mode.pinned() {
 		return t.siRead(tbl, key)
 	}
-	if err := t.acquire(lock.TableName(tbl.ID), lock.IS); err != nil {
-		return nil, err
-	}
-	if err := t.acquire(lock.RowName(tbl.ID, key), lock.S); err != nil {
-		return nil, err
-	}
-	packed, err := tbl.Index.GetC(key, &t.clock)
-	if err != nil {
-		return nil, indexReadErr(err, tbl, key)
-	}
-	rec, err := tbl.Heap.ReadC(heap.Unpack(packed), &t.clock)
-	if err != nil {
-		return nil, err
-	}
-	return rowValue(rec), nil
+	return t.lockedRead(tbl, key, lock.IS, lock.S)
 }
 
 // ReadForUpdate returns the value under key while taking the row lock
@@ -376,10 +385,10 @@ func (t *Txn) ReadForUpdate(tbl *Table, key uint64) ([]byte, error) {
 	if err := t.checkActive(); err != nil {
 		return nil, err
 	}
-	if t.snapRO {
+	switch t.mode {
+	case modeSnapshot:
 		return nil, ErrReadOnlyTxn
-	}
-	if t.snapRW {
+	case modeSI:
 		// SI never locks up front: the read serves the snapshot (plus
 		// the txn's own buffered writes), and the usual follow-up write
 		// puts the key in the write set, where first-committer-wins
@@ -387,10 +396,16 @@ func (t *Txn) ReadForUpdate(tbl *Table, key uint64) ([]byte, error) {
 		// exists for on the locked path.
 		return t.siRead(tbl, key)
 	}
-	if err := t.acquire(lock.TableName(tbl.ID), lock.IX); err != nil {
+	return t.lockedRead(tbl, key, lock.IX, lock.X)
+}
+
+// lockedRead is the body of Read and ReadForUpdate on the locked
+// modes: take tblMode on the table and rowMode on the row, then read.
+func (t *Txn) lockedRead(tbl *Table, key uint64, tblMode, rowMode lock.Mode) ([]byte, error) {
+	if err := t.acquire(lock.TableName(tbl.ID), tblMode); err != nil {
 		return nil, err
 	}
-	if err := t.acquire(lock.RowName(tbl.ID, key), lock.X); err != nil {
+	if err := t.acquire(lock.RowName(tbl.ID, key), rowMode); err != nil {
 		return nil, err
 	}
 	packed, err := tbl.Index.GetC(key, &t.clock)
@@ -409,12 +424,18 @@ func (t *Txn) Insert(tbl *Table, key uint64, value []byte) error {
 	if err := t.checkActive(); err != nil {
 		return err
 	}
-	if t.snapRO {
+	switch t.mode {
+	case modeSnapshot:
 		return ErrReadOnlyTxn
-	}
-	if t.snapRW && !t.siApply {
+	case modeSI:
 		return t.siInsert(tbl, key, value)
 	}
+	return t.lockedInsert(tbl, key, value)
+}
+
+// lockedInsert is the body of Insert on the locked modes; an SI commit
+// applies its buffered writes through it too.
+func (t *Txn) lockedInsert(tbl *Table, key uint64, value []byte) error {
 	if err := t.ensureBegin(); err != nil {
 		return err
 	}
@@ -452,12 +473,18 @@ func (t *Txn) Update(tbl *Table, key uint64, value []byte) error {
 	if err := t.checkActive(); err != nil {
 		return err
 	}
-	if t.snapRO {
+	switch t.mode {
+	case modeSnapshot:
 		return ErrReadOnlyTxn
-	}
-	if t.snapRW && !t.siApply {
+	case modeSI:
 		return t.siUpdate(tbl, key, value)
 	}
+	return t.lockedUpdate(tbl, key, value)
+}
+
+// lockedUpdate is the body of Update on the locked modes; an SI commit
+// applies its buffered writes through it too.
+func (t *Txn) lockedUpdate(tbl *Table, key uint64, value []byte) error {
 	if err := t.ensureBegin(); err != nil {
 		return err
 	}
@@ -518,12 +545,18 @@ func (t *Txn) Delete(tbl *Table, key uint64) error {
 	if err := t.checkActive(); err != nil {
 		return err
 	}
-	if t.snapRO {
+	switch t.mode {
+	case modeSnapshot:
 		return ErrReadOnlyTxn
-	}
-	if t.snapRW && !t.siApply {
+	case modeSI:
 		return t.siDelete(tbl, key)
 	}
+	return t.lockedDelete(tbl, key)
+}
+
+// lockedDelete is the body of Delete on the locked modes; an SI commit
+// applies its buffered writes through it too.
+func (t *Txn) lockedDelete(tbl *Table, key uint64) error {
 	if err := t.ensureBegin(); err != nil {
 		return err
 	}
@@ -558,10 +591,7 @@ func (t *Txn) Scan(tbl *Table, lo, hi uint64, fn func(key uint64, value []byte) 
 	if err := t.checkActive(); err != nil {
 		return err
 	}
-	if t.snapRO {
-		return t.snapshotScan(tbl, lo, hi, fn)
-	}
-	if t.snapRW {
+	if t.mode.pinned() {
 		return t.siScan(tbl, lo, hi, fn)
 	}
 	if err := t.acquire(lock.TableName(tbl.ID), lock.S); err != nil {
@@ -580,60 +610,55 @@ func (t *Txn) Scan(tbl *Table, lo, hi uint64, fn func(key uint64, value []byte) 
 // ELR, locks are released as soon as the commit record is in the log
 // buffer; the call still blocks for durability before returning.
 func (t *Txn) Commit() error {
-	if t.snapRO {
-		return t.finishSnapshot(txnCommitted)
-	}
-	if t.snapRW {
+	switch t.mode {
+	case modeSnapshot:
+		// Succeeds even while the engine is closing: nothing was logged,
+		// and the snapshot pin must be released on every path.
+		return t.retire(txnCommitted, 0, true)
+	case modeSI:
 		return t.commitSI()
 	}
 	if err := t.checkActive(); err != nil {
 		return err
 	}
-	e := t.e
 	if !t.logged {
 		// Read-only: nothing to log or flush.
-		t.releaseLocks(false)
-		obs.TraceEvent(obs.EvCommit, t.id, 0, 0)
-		t.finish(txnCommitted)
-		e.commits.Inc()
-		return nil
+		return t.retire(txnCommitted, 0, true)
 	}
 	return t.commitLogged()
 }
 
-// commitLogged is the durable half of Commit for a transaction that
-// wrote at least one record: append the commit record (publishing
-// version stamps when the transaction installed any), release locks
-// (ELR: before the flush wait), wait for durability, and retire the
-// handle. Shared by the locked path and the SI apply path.
+// commitLogged commits a transaction that wrote at least one record:
+// the commit record, early lock release under ELR, then the durable
+// tail. Shared by the locked path and the SI apply path.
 func (t *Txn) commitLogged() error {
-	e := t.e
-	commitLSN, err := e.appendCommitRecord(t)
+	commitLSN, err := t.appendCommit()
 	if err != nil {
 		return err
 	}
-	t.mu.Lock()
-	t.lastLSN = commitLSN // under mu: checkpoint ATT snapshots read it
-	t.mu.Unlock()
-	if e.cfg.ELR {
+	elr := t.e.cfg.ELR
+	if elr {
 		t.releaseLocks(false)
 	}
+	return t.commitDurable(commitLSN, !elr)
+}
+
+// commitDurable is the durable commit tail shared by Commit and
+// CommitWait: wait for the commit record's flush (under SyncCommit),
+// append the end record, and retire the handle, releasing the locks
+// there when they are still held (no ELR).
+func (t *Txn) commitDurable(commitLSN wal.LSN, locksHeld bool) error {
+	e := t.e
 	if e.cfg.SyncCommit {
 		if err := e.log.WaitFlushedC(commitLSN, &t.clock); err != nil {
 			return err
 		}
 	}
-	if !e.cfg.ELR {
-		t.releaseLocks(false)
-	}
 	// The end record needs no flush wait.
 	if _, err := e.log.AppendFieldsC(wal.RecEnd, t.id, commitLSN, 0, 0, nil, &t.clock); err != nil {
 		return err
 	}
-	obs.TraceEvent(obs.EvCommit, t.id, uint64(commitLSN), 0)
-	t.finish(txnCommitted)
-	e.commits.Inc()
-	return nil
+	return t.retire(txnCommitted, commitLSN, locksHeld)
 }
 
 // CommitAsync performs the executor half of a split commit: it
@@ -651,21 +676,13 @@ func (t *Txn) CommitAsync() (wal.LSN, error) {
 	if err := t.checkActive(); err != nil {
 		return wal.NilLSN, err
 	}
-	e := t.e
 	if !t.logged {
-		t.releaseLocks(false)
-		obs.TraceEvent(obs.EvCommit, t.id, 0, 0)
-		t.finish(txnCommitted)
-		e.commits.Inc()
-		return wal.NilLSN, nil
+		return wal.NilLSN, t.retire(txnCommitted, 0, true)
 	}
-	commitLSN, err := e.appendCommitRecord(t)
+	commitLSN, err := t.appendCommit()
 	if err != nil {
 		return wal.NilLSN, err
 	}
-	t.mu.Lock()
-	t.lastLSN = commitLSN // under mu: checkpoint ATT snapshots read it
-	t.mu.Unlock()
 	t.releaseLocks(false)
 	return commitLSN, nil
 }
@@ -676,29 +693,18 @@ func (t *Txn) CommitAsync() (wal.LSN, error) {
 // CommitAsync returned, and it must not be NilLSN. After CommitWait
 // returns — success or error — the handle must not be used again.
 func (t *Txn) CommitWait(commitLSN wal.LSN) error {
-	e := t.e
-	if e.cfg.SyncCommit {
-		if err := e.log.WaitFlushedC(commitLSN, &t.clock); err != nil {
-			return err
-		}
-	}
-	if _, err := e.log.AppendFieldsC(wal.RecEnd, t.id, commitLSN, 0, 0, nil, &t.clock); err != nil {
-		return err
-	}
-	obs.TraceEvent(obs.EvCommit, t.id, uint64(commitLSN), 0)
-	t.finish(txnCommitted)
-	e.commits.Inc()
-	return nil
+	return t.commitDurable(commitLSN, false)
 }
 
 // Abort rolls the transaction back, writing compensation records so
 // a crash mid-abort resumes correctly, and releases its locks.
 func (t *Txn) Abort() error {
-	if t.snapRO || (t.snapRW && !t.logged) {
+	if t.mode.pinned() && !t.logged {
 		// Nothing logged: releasing locks and the snapshot pin is the
 		// whole rollback (an SI writer's buffered write set is simply
-		// discarded — nothing ever entered the heap or the chains).
-		return t.finishSnapshot(txnAborted)
+		// discarded — nothing ever entered the heap or the chains). Like
+		// a snapshot commit, it succeeds while the engine is closing.
+		return t.retire(txnAborted, 0, true)
 	}
 	if err := t.checkActive(); err != nil {
 		return err
@@ -737,7 +743,30 @@ func (t *Txn) Abort() error {
 			return err
 		}
 	}
-	t.releaseLocks(true)
+	return t.retire(txnAborted, 0, true)
+}
+
+// retire is the one exit of every commit and abort: it releases the
+// locks still held (release is false when early lock release already
+// let them go), emits the trace event, recycles the handle (finish),
+// and counts the outcome. An abort also prunes the version chains its
+// rolled-back writes sit on. commitLSN only feeds the trace (0 when
+// nothing was logged). Retiring a handle that is no longer active
+// fails with ErrTxnDone.
+func (t *Txn) retire(state txnState, commitLSN wal.LSN, release bool) error {
+	if t.state != txnActive {
+		return ErrTxnDone
+	}
+	e := t.e
+	if release {
+		t.releaseLocks(state == txnAborted)
+	}
+	if state == txnCommitted {
+		obs.TraceEvent(obs.EvCommit, t.id, uint64(commitLSN), 0)
+		t.finish(txnCommitted)
+		e.commits.Inc()
+		return nil
+	}
 	// With the stamp published the aborted nodes are ordinary dead
 	// versions; prune the chains they sit on so an abort with no
 	// snapshot pinned leaves no garbage behind.
@@ -747,29 +776,6 @@ func (t *Txn) Abort() error {
 	obs.TraceEvent(obs.EvAbort, t.id, 0, 0)
 	t.finish(txnAborted)
 	e.aborts.Inc()
-	return nil
-}
-
-// finishSnapshot retires a read-only snapshot transaction (both
-// Commit and Abort land here). It succeeds even while the engine is
-// closing: nothing was logged, so the only work is in-memory — and the
-// snapshot pin MUST be released on every path, or the GC watermark
-// stays held back for the life of the process.
-func (t *Txn) finishSnapshot(state txnState) error {
-	if t.state != txnActive {
-		return ErrTxnDone
-	}
-	e := t.e
-	t.releaseLocks(state == txnAborted)
-	if state == txnAborted {
-		obs.TraceEvent(obs.EvAbort, t.id, 0, 0)
-		t.finish(txnAborted)
-		e.aborts.Inc()
-	} else {
-		obs.TraceEvent(obs.EvCommit, t.id, 0, 0)
-		t.finish(txnCommitted)
-		e.commits.Inc()
-	}
 	return nil
 }
 
@@ -831,27 +837,16 @@ func (e *Engine) applyOp(op *OpRecord, lsn uint64, maintainIndex bool) error {
 }
 
 // Exec runs fn inside a transaction, committing on nil and aborting
-// on error; deadlock and timeout victims are retried with the shared
-// capped exponential backoff (see retry.go) so re-runs of the same
-// contenders don't re-collide in lockstep.
+// on error; deadlock and timeout victims are retried with capped
+// exponential backoff (see retry.go) so re-runs of the same contenders
+// don't re-collide in lockstep.
 func (e *Engine) Exec(fn func(*Txn) error) error {
-	for attempt := 0; ; attempt++ {
-		t := e.Begin()
-		err := fn(t)
-		if err == nil {
-			if err = t.Commit(); err == nil {
-				return nil
-			}
-		}
-		if t.state == txnActive {
-			if aerr := t.Abort(); aerr != nil {
-				return fmt.Errorf("core: abort after %v: %w", err, aerr)
-			}
-		}
-		if retryableTxnErr(err) && attempt < maxTxnRetries {
-			retrySleep(attempt)
-			continue
-		}
-		return err
-	}
+	return e.exec(modeLocked, nil, fn)
+}
+
+// ExecWithAgent is Exec with every lock acquisition routed through the
+// SLI agent a (one agent per worker goroutine); a nil agent makes it
+// Exec.
+func (e *Engine) ExecWithAgent(a *lock.Agent, fn func(*Txn) error) error {
+	return e.exec(modeLocked, a, fn)
 }

@@ -310,19 +310,6 @@ func (h *File) UpdateWithLSN(rid RID, rec []byte, lsn uint64) error {
 	})
 }
 
-// InsertWithLSN inserts and stamps the page LSN, returning the RID.
-func (h *File) InsertWithLSN(rec []byte, lsn uint64) (RID, error) {
-	rid, err := h.Insert(rec)
-	if err != nil {
-		return rid, err
-	}
-	err = h.withPageX(rid, func(p *page.Page) error {
-		p.SetLSN(lsn)
-		return nil
-	})
-	return rid, err
-}
-
 // DeleteWithLSN deletes and stamps the page LSN.
 func (h *File) DeleteWithLSN(rid RID, lsn uint64) error {
 	return h.withPageX(rid, func(p *page.Page) error {

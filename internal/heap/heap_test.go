@@ -158,26 +158,31 @@ func TestTooBigRecord(t *testing.T) {
 
 func TestLSNStamping(t *testing.T) {
 	h := newFile(t)
-	rid, err := h.InsertWithLSN([]byte("logged"), 42)
+	rid, err := h.Insert([]byte("logged"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	pageLSN := func() uint64 {
+		f, err := h.pool.Fetch(rid.Page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.pool.Unpin(f, false)
+		return f.Page.LSN()
+	}
 	if err := h.UpdateWithLSN(rid, []byte("logged2"), 43); err != nil {
 		t.Fatal(err)
+	}
+	if got := pageLSN(); got != 43 {
+		t.Fatalf("pageLSN after update = %d, want 43", got)
 	}
 	if err := h.DeleteWithLSN(rid, 44); err != nil {
 		t.Fatal(err)
 	}
 	// The page's LSN must be the last stamped value.
-	pool := h.pool
-	f, err := pool.Fetch(rid.Page)
-	if err != nil {
-		t.Fatal(err)
+	if got := pageLSN(); got != 44 {
+		t.Fatalf("pageLSN after delete = %d, want 44", got)
 	}
-	if f.Page.LSN() != 44 {
-		t.Fatalf("pageLSN = %d, want 44", f.Page.LSN())
-	}
-	pool.Unpin(f, false)
 }
 
 func TestConcurrentInserts(t *testing.T) {

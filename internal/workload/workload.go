@@ -12,8 +12,6 @@ package workload
 
 import (
 	"encoding/binary"
-	"errors"
-	"time"
 
 	"hydra/internal/core"
 	"hydra/internal/dora"
@@ -30,6 +28,8 @@ type Executor interface {
 
 // LockExecutor is the conventional model: any worker runs any
 // transaction, isolation comes from the centralized lock manager.
+// Both variants run through the engine's one retry loop
+// (Engine.ExecWithAgent, which is Engine.Exec for a nil Agent).
 type LockExecutor struct {
 	Engine *core.Engine
 	// Agent, when set, routes lock acquisition through SLI.
@@ -38,45 +38,7 @@ type LockExecutor struct {
 
 // Run implements Executor.
 func (x LockExecutor) Run(_ *core.Table, _ uint64, fn func(tx *core.Txn) error) error {
-	if x.Agent == nil {
-		return x.Engine.Exec(fn)
-	}
-	// Agent path: same retry policy as Engine.Exec (capped backoff
-	// with jitter between attempts) but with agent txns.
-	for attempt := 0; ; attempt++ {
-		t := x.Engine.BeginWithAgent(x.Agent)
-		err := fn(t)
-		if err == nil {
-			if err = t.Commit(); err == nil {
-				return nil
-			}
-		}
-		if aerr := t.Abort(); aerr != nil && err == nil {
-			err = aerr
-		}
-		if attempt < 10 && retryable(err) {
-			time.Sleep(core.BackoffDelay(attempt))
-			continue
-		}
-		return err
-	}
-}
-
-func retryable(err error) bool {
-	return errors.Is(err, lock.ErrDeadlock) || errors.Is(err, lock.ErrTimeout)
-}
-
-// SIExecutor is the snapshot-isolation model: reads resolve against a
-// pinned snapshot with zero lock-manager traffic, writes buffer and
-// validate first-committer-wins at commit. Conflict victims retry
-// inside ExecSI with the shared backoff.
-type SIExecutor struct {
-	Engine *core.Engine
-}
-
-// Run implements Executor.
-func (x SIExecutor) Run(_ *core.Table, _ uint64, fn func(tx *core.Txn) error) error {
-	return x.Engine.ExecSI(fn)
+	return x.Engine.ExecWithAgent(x.Agent, fn)
 }
 
 // DoraExecutor is the thread-to-data model: the transaction body is
